@@ -1,49 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (Table 1, Tables 2-4 via the worked example, Figures 3-9) on the
-   synthetic Perfect-Club-like suite, plus ablation studies and Bechamel
-   timing benches of the core algorithms.
-
-     dune exec bench/main.exe                 -- everything
-     dune exec bench/main.exe -- table1       -- one experiment
-     dune exec bench/main.exe -- fig8 --quick -- smaller suite
-
-   Experiment ids: example table1 fig6 fig7 fig8 fig9 ablation spill-victims
-   cluster-policy mve doubling fission cost sacks lifetime-postpass
-   cluster-sweep store serve-concurrency bechamel.
-   --csv DIR mirrors the figure series to CSV files.
-   --clusters K / --read-ports N / --write-ports N swap the machine
-   under test for a K-cluster NCDRF with per-subfile port budgets; the
-   defaults (2, uncapped) reproduce the paper's dual machine exactly.
-   --jobs N runs the per-loop pipeline on N domains (default: the
-   recommended domain count); results are identical to --jobs 1.
-   --metrics FILE emits a JSON report (wall clock and per-stage span
-   breakdown per experiment, loops/sec, cache.hits/misses/evictions,
-   and — when N > 1 — measured speedup against a silenced serial
-   rerun), in a shape suitable for committing as BENCH_*.json.  Under
-   --metrics the artifact cache is cleared before each experiment's
-   timed region so every report is self-contained.
-   --no-cache disables the artifact compile cache (every stage
-   recomputes); results are byte-identical either way.
-   --trace FILE buffers begin/end events around every pipeline stage
-   and writes a Chrome trace-event JSON (chrome://tracing, Perfetto),
-   one track per pool domain, spanning all selected experiments.
-   --ledger FILE writes one JSONL record per executed (config, loop)
-   point — stage durations, cache traffic, II vs MII, spill rounds,
-   error category — identity-sorted so --jobs N matches --jobs 1;
-   inspect it with `ncdrf profile FILE`.
-   --size N / --seed N pick the suite; the suite cache is keyed on
-   (size, seed) so mixed-size runs never see stale entries.
-   --cache-dir DIR opens the persistent on-disk artifact store there
-   (--cache-max-mb N bounds it; 0 = unbounded): a second process over
-   the same suite replays its compiles from disk instead of
-   recomputing, with byte-identical output.
-   --shard I/N keeps only the loops assigned to shard I of N — a
-   deterministic, jobs-invariant partition by loop content digest — so
-   N cooperating processes can split a suite and `ncdrf merge` their
-   --metrics/--ledger outputs back into one run.
-   --timeout SECS gives every (loop, model) point a wall budget on the
-   monotonic clock; over-budget points fail with the typed
-   deadline_exceeded category and land in the failure manifest. *)
+(* The paper's experiments behind [ncdrf bench]: Table 1, Tables 2-4
+   via the worked example, Figures 6-9 on the synthetic
+   Perfect-Club-like suite, plus ablations, extensions and Bechamel
+   timing benches of the core algorithms.  The command line lives in
+   ncdrf.ml; this module receives the parsed settings. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -57,90 +16,69 @@ module Ledger = Ncdrf_telemetry.Ledger
 module Json = Telemetry.Json
 module Error = Ncdrf_error.Error
 module Failures = Ncdrf_error.Failures
-module Fault = Ncdrf_fault.Fault
 module Store = Ncdrf_cache.Store
 
-let suite_size = ref 795
-let suite_seed = ref 42
-let quick () = suite_size := 150
-let csv_dir : string option ref = ref None
-let metrics_path : string option ref = ref None
-let trace_path : string option ref = ref None
-let ledger_path : string option ref = ref None
-let requested_jobs = ref (Pool.default_jobs ())
+type settings = {
+  size : int;
+  seed : int;
+  csv_dir : string option;
+  spec : Config.spec;
+  spill : Ncdrf_spill.Spiller.policy;
+  timeout : float option;
+  shard : (int * int) option;
+}
 
-(* The run's failure collector (keep-going by default; --fail-fast /
-   --max-failures tighten the policy at startup).  Every suite sweep
-   records its failed (loop, model) points here and carries on with the
-   survivors. *)
+let the_settings =
+  ref
+    {
+      size = 795;
+      seed = 42;
+      csv_dir = None;
+      spec = Config.default_spec;
+      spill = Ncdrf_spill.Spiller.default_policy;
+      timeout = None;
+      shard = None;
+    }
+
+(* The run's failure collector and the session pool.  The serial
+   baseline rerun (see [run_experiment]) swaps both temporarily. *)
 let the_failures = ref (Failures.create ())
-let failures_csv : string option ref = ref None
-
-(* The session pool; [None] means serial.  The serial-baseline rerun
-   (see [run_experiment]) swaps this to [None] temporarily. *)
-(* Spill-loop strategy for every capacity run of the harness
-   (--spill-batch / --spill-incremental); the default is the
-   reference-identical policy, so committed figures are unchanged
-   unless a flag opts in. *)
-let the_spill = ref Ncdrf_spill.Spiller.default_policy
-let spill () = !the_spill
-
 let the_pool : Pool.t option ref = ref None
 let current_jobs () = match !the_pool with Some p -> Pool.jobs p | None -> 1
-let pool () = !the_pool
+let spill () = !the_settings.spill
 
-(* Per-point wall budget (--timeout); an over-budget point fails with
-   the typed deadline_exceeded category and is recorded like any other
-   failure. *)
-let point_timeout : float option ref = ref None
-
-(* Machine under test for every dual-machine experiment
-   (--clusters / --read-ports / --write-ports).  The defaults build
-   exactly [Config.dual], so committed figures are byte-identical
-   unless a flag opts into the generalized k-cluster machine. *)
-let cluster_count = ref 2
-let rf_read_ports : int option ref = ref None
-let rf_write_ports : int option ref = ref None
-
-(* Persistent store (--cache-dir / --cache-max-mb) and suite shard
-   (--shard I/N); both fixed at startup. *)
-let cache_dir : string option ref = ref None
-let cache_max_mb = ref 0
-let shard_spec : (int * int) option ref = ref None
-
+(* Machine under test for every dual-machine experiment: the
+   --clusters / --read-ports / --write-ports spec at [latency].  The
+   CLI validated the spec, so only the latency varies here. *)
 let machine ~latency =
-  Config.k_cluster ?read_ports:!rf_read_ports ?write_ports:!rf_write_ports
-    ~k:!cluster_count ~latency ()
+  Result.get_ok (Config.of_spec { !the_settings.spec with spec_latency = latency })
 
-(* Map the per-loop stage of an experiment over the session pool,
-   keeping input order; serial when no pool is active.  Failing loops
-   are classified, recorded in [the_failures] (in input order, so the
-   manifest is deterministic) and dropped. *)
-let pool_map f loops =
-  let f l =
-    Ncdrf_error.Deadline.with_timeout ?timeout_s:!point_timeout (fun () -> f l)
-  in
-  let outcomes =
-    match !the_pool with
-    | None ->
-      List.map
-        (fun l -> try Ok (f l) with e -> Stdlib.Error (Ddg.name l.Suite_stats.ddg, e))
-        loops
-    | Some p -> Pool.try_map_exn p ~label:(fun l -> Ddg.name l.Suite_stats.ddg) f loops
-  in
-  List.filter_map
-    (function
-      | Ok v -> Some v
-      | Stdlib.Error (loop, e) ->
-        Failures.record !the_failures (Error.classify_exn ~stage:"pipeline" ~loop e);
-        None)
-    outcomes
+(* The suite sweeps of every experiment run on the session pool, under
+   the per-point --timeout, recording failed points in [the_failures]
+   (in input order, so the manifest is deterministic) and dropping
+   them. *)
+let timeout () = !the_settings.timeout
+
+let suite_map f loops =
+  Suite_stats.map ?pool:!the_pool ?timeout_s:(timeout ()) ~failures:!the_failures ~f loops
+
+let measure_all ~config ~models loops =
+  Suite_stats.measure_all ?pool:!the_pool ?timeout_s:(timeout ()) ~failures:!the_failures
+    ~config ~models loops
+
+let measure ~config ~model loops =
+  Suite_stats.measure ?pool:!the_pool ?timeout_s:(timeout ()) ~failures:!the_failures
+    ~config ~model loops
+
+let performance ~config ~model ~capacity loops =
+  Suite_stats.performance ?pool:!the_pool ?timeout_s:(timeout ()) ~failures:!the_failures
+    ~spill:(spill ()) ~config ~model ~capacity loops
 
 let banner title = Printf.printf "\n==== %s ====\n%!" title
 
 (* Optionally mirror an experiment's series to CSV for plotting. *)
 let emit_csv name rows =
-  match !csv_dir with
+  match !the_settings.csv_dir with
   | None -> ()
   | Some dir ->
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -148,16 +86,12 @@ let emit_csv name rows =
     Ncdrf_report.Csv.write path rows;
     Printf.printf "  [csv: %s]\n%!" path
 
-(* Keyed on (size, seed): a run that builds the suite at one size must
-   not serve stale entries to a figure that needs a different one. *)
-let suite_cache : ((int * int) * Suite_stats.workload list) option ref = ref None
+let suite_cache : Suite_stats.workload list option ref = ref None
 
 let workloads () =
-  let key = (!suite_size, !suite_seed) in
   match !suite_cache with
-  | Some (k, w) when k = key -> w
-  | Some _ | None ->
-    let entries = Ncdrf_workloads.Suite.full ~size:!suite_size ~seed:!suite_seed () in
+  | Some w -> w
+  | None ->
     let w =
       List.map
         (fun e ->
@@ -165,14 +99,14 @@ let workloads () =
             Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
             weight = e.Ncdrf_workloads.Suite.iterations;
           })
-        entries
+        (Ncdrf_workloads.Suite.full ~size:!the_settings.size ~seed:!the_settings.seed ())
     in
     let w =
-      match !shard_spec with
+      match !the_settings.shard with
       | None -> w
       | Some (index, count) -> Suite_stats.shard ~index ~count w
     in
-    suite_cache := Some (key, w);
+    suite_cache := Some w;
     w
 
 (* ------------------------------------------------------------------ *)
@@ -251,10 +185,7 @@ let run_table1 () =
   Printf.printf "%s\n" (String.make 64 '-');
   List.iter
     (fun cfg ->
-      let ms =
-        Suite_stats.measure ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~config:cfg
-          ~model:Model.Unified loops
-      in
+      let ms = measure ~config:cfg ~model:Model.Unified loops in
       let cell r =
         let s, d = Suite_stats.allocatable ms ~r in
         Printf.sprintf "%7.1f%% %7.1f%%" s d
@@ -265,10 +196,7 @@ let run_table1 () =
     ([ "config"; "r"; "static_pct"; "dynamic_pct" ]
      :: List.concat_map
           (fun cfg ->
-            let ms =
-              Suite_stats.measure ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~config:cfg
-                ~model:Model.Unified loops
-            in
+            let ms = measure ~config:cfg ~model:Model.Unified loops in
             List.map
               (fun r ->
                 let s, d = Suite_stats.allocatable ms ~r in
@@ -299,9 +227,7 @@ let run_distribution ~dynamic () =
       (* One scheduling pass per loop; the three models read the same
          artifact (one Modulo.schedule per (config, loop)). *)
       let by_model =
-        Suite_stats.measure_all ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~config
-          ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
-          loops
+        measure_all ~config ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ] loops
       in
       List.iter
         (fun (model, ms) ->
@@ -335,12 +261,7 @@ let performance_grid () =
           let config = machine ~latency in
           let cells =
             List.map
-              (fun model ->
-                let p =
-                  Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-                    ~spill:(spill ()) ~config ~model ~capacity loops
-                in
-                (model, p))
+              (fun model -> (model, performance ~config ~model ~capacity loops))
               Model.all
           in
           grid := ((latency, capacity), cells) :: !grid)
@@ -413,6 +334,16 @@ let run_fig9 () =
 (* Ablations.                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's Section 5.4 option 1, II escalation only: reschedule with
+   growing II until the unified requirement fits, no spill code. *)
+let reschedule_to_fit ~config ~capacity ddg =
+  let rec escalate ii guard =
+    let sched = Modulo.schedule_with_min_ii ~min_ii:ii config ddg in
+    if Requirements.unified sched <= capacity || guard > 64 then sched
+    else escalate (Schedule.ii sched + 1) (guard + 1)
+  in
+  escalate 1 0
+
 let run_ablation () =
   banner "Ablation: allocation schema (Wands-Only order)";
   let loops = workloads () in
@@ -454,15 +385,7 @@ let run_ablation () =
           Pipeline.run ~config ~model:Model.Unified ~capacity ~spill:(spill ())
             l.Suite_stats.ddg
         in
-        (* II escalation only: reschedule with growing II until the
-           requirement fits, no spill code. *)
-        let rec escalate ii guard =
-          let sched = Modulo.schedule_with_min_ii ~min_ii:ii config l.Suite_stats.ddg in
-          let req = Requirements.unified sched in
-          if req <= capacity || guard > 64 then sched
-          else escalate (Schedule.ii sched + 1) (guard + 1)
-        in
-        let bumped = escalate 1 0 in
+        let bumped = reschedule_to_fit ~config ~capacity l.Suite_stats.ddg in
         ( st +. (l.Suite_stats.weight *. float_of_int spill.Pipeline.ii),
           bt +. (l.Suite_stats.weight *. float_of_int (Schedule.ii bumped)) ))
       (0.0, 0.0) loops
@@ -488,7 +411,7 @@ let run_spill_victims () =
       let spills = ref 0 and unfit = ref 0 in
       let bandwidth = float_of_int (Config.memory_bandwidth config) in
       let compiled =
-        pool_map
+        suite_map
           (fun l ->
             (l, Pipeline.run ~config ~model:Model.Swapped ~capacity ~victim
                ~spill:(spill ()) l.Suite_stats.ddg))
@@ -571,14 +494,8 @@ let run_doubling () =
       List.iter
         (fun r ->
           let config = machine ~latency in
-          let dual =
-            Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-              ~spill:(spill ()) ~config ~model:Model.Swapped ~capacity:r loops
-          in
-          let doubled =
-            Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-              ~spill:(spill ()) ~config ~model:Model.Unified ~capacity:(2 * r) loops
-          in
+          let dual = performance ~config ~model:Model.Swapped ~capacity:r loops in
+          let doubled = performance ~config ~model:Model.Unified ~capacity:(2 * r) loops in
           Printf.printf "L=%d,R=%-4d %22.3f %22.3f%s\n%!" latency r
             dual.Suite_stats.relative doubled.Suite_stats.relative
             (if dual.Suite_stats.relative >= doubled.Suite_stats.relative -. 0.005 then
@@ -628,7 +545,7 @@ let run_memory () =
       let base = ref 0.0 and effective = ref 0.0 and ideal = ref 0.0 in
       let bw = float_of_int (Config.memory_bandwidth config) in
       let compiled =
-        pool_map
+        suite_map
           (fun l ->
             let st =
               Pipeline.run ~config ~model ~capacity ~spill:(spill ()) l.Suite_stats.ddg
@@ -672,12 +589,8 @@ let run_fission () =
       let spill = Pipeline.run ~config ~model:Model.Unified ~capacity ~spill:(spill ()) g in
       spill_t := !spill_t +. (w *. float_of_int spill.Pipeline.ii);
       (* Option 1: reschedule at increased II. *)
-      let rec escalate ii guard =
-        let sched = Modulo.schedule_with_min_ii ~min_ii:ii config g in
-        if Requirements.unified sched <= capacity || guard > 64 then sched
-        else escalate (Schedule.ii sched + 1) (guard + 1)
-      in
-      bump_t := !bump_t +. (w *. float_of_int (Schedule.ii (escalate 1 0)));
+      let bumped = reschedule_to_fit ~config ~capacity g in
+      bump_t := !bump_t +. (w *. float_of_int (Schedule.ii bumped));
       (* Option 2: loop fission; the pieces run back to back, so their
          IIs add. *)
       let pieces, fits = Ncdrf_spill.Fission.split_until ~requirement ~capacity g in
@@ -812,14 +725,10 @@ let run_cluster_sweep () =
         | None -> Config.k_cluster ~k ~latency ()
         | Some (r, w) -> Config.k_cluster ~read_ports:r ~write_ports:w ~k ~latency ()
       in
-      let ms =
-        Suite_stats.measure ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~config
-          ~model:Model.Swapped loops
-      in
+      let ms = measure ~config ~model:Model.Swapped loops in
       let static, dynamic = Suite_stats.allocatable ms ~r:capacity in
       let perf =
-        Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~spill:(spill ())
-          ~config ~model:Model.Swapped ~capacity loops
+        performance ~config ~model:Model.Swapped ~capacity loops
       in
       let ops = ref 0 and cycles = ref 0 and stalls = ref 0 in
       List.iter
@@ -963,9 +872,7 @@ let run_store () =
     List.iter
       (fun capacity ->
         ignore
-          (Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout
-             ~failures:!the_failures ~spill:(spill ()) ~config
-             ~model:Model.Swapped ~capacity loops))
+          (performance ~config ~model:Model.Swapped ~capacity loops))
       capacities;
     Telemetry.now () -. t0
   in
@@ -1041,7 +948,9 @@ let run_serve_concurrency () =
     (try Sys.remove path with Sys_error _ -> ());
     let stop = Atomic.make false in
     let opts =
-      { (Server.default_opts ~socket_path:path) with jobs = 1; max_inflight }
+      { (Server.default_opts ~socket_path:path) with
+        max_inflight;
+        session = { Session.default_opts with jobs = 1 } }
     in
     let code = ref (-1) in
     let daemon =
@@ -1131,6 +1040,7 @@ let experiments =
     ("serve-concurrency", run_serve_concurrency);
     ("bechamel", run_bechamel);
   ]
+let names = List.map fst experiments
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-instrumented driver.                                        *)
@@ -1171,9 +1081,9 @@ let run_experiment ~collect (name, f) =
   (* The ledger can be armed without --metrics; records carry the
      experiment name either way. *)
   Ledger.set_label name;
-  match !metrics_path with
-  | None -> f ()
-  | Some _ ->
+  (* The session arms telemetry exactly when --metrics is given. *)
+  if not (Telemetry.enabled ()) then f ()
+  else begin
     (* Warm the suite cache outside the timed region so the parallel
        run and the serial baseline both measure the pipeline, not the
        one-off suite generation.  The artifact cache is cleared so each
@@ -1219,6 +1129,7 @@ let run_experiment ~collect (name, f) =
       else None
     in
     collect { ex_name = name; wall_s; loops; spans; dists; counters; serial_wall_s }
+  end
 
 let metric_json m =
   let span_json (name, s) =
@@ -1261,37 +1172,30 @@ let metric_json m =
   in
   Json.Obj (base @ speedup)
 
-let write_metrics ~total_wall_s collected =
-  match !metrics_path with
-  | None -> ()
-  | Some path ->
-    let failures = !the_failures in
-    (* Only present when something failed, so a clean run's metrics are
-       byte-identical to a pre-taxonomy run's. *)
-    let failure_block =
-      if Failures.count failures = 0 then []
-      else [ ("failures", Failures.to_json failures) ]
-    in
-    let json =
-      Json.Obj
-        ([
-           ("schema", Json.String "ncdrf-bench-metrics/1");
-           ("jobs", Json.Int !requested_jobs);
-           ("recommended_jobs", Json.Int (Pool.default_jobs ()));
-           ("suite_size", Json.Int !suite_size);
-           ("suite_seed", Json.Int !suite_seed);
-           ("total_wall_s", Json.Float total_wall_s);
-           ("experiments", Json.List (List.map metric_json (List.rev collected)));
-         ]
-         @ failure_block)
-    in
-    Telemetry.write_json ~path json;
-    Printf.printf "\n[metrics: %s]\n%!" path
+let metrics_json ~jobs ~total_wall_s collected =
+  let failures = !the_failures in
+  (* Only present when something failed, so a clean run's metrics are
+     byte-identical to a pre-taxonomy run's. *)
+  let failure_block =
+    if Failures.count failures = 0 then []
+    else [ ("failures", Failures.to_json failures) ]
+  in
+  Json.Obj
+    ([
+       ("schema", Json.String "ncdrf-bench-metrics/1");
+       ("jobs", Json.Int jobs);
+       ("recommended_jobs", Json.Int (Pool.default_jobs ()));
+       ("suite_size", Json.Int !the_settings.size);
+       ("suite_seed", Json.Int !the_settings.seed);
+       ("total_wall_s", Json.Float total_wall_s);
+       ("experiments", Json.List (List.map metric_json collected));
+     ]
+     @ failure_block)
 
 (* Mirror of the suite driver's failure report: silent on a clean run
    (so default output stays byte-identical), a per-category count block
    plus one line per failure otherwise. *)
-let report_failures () =
+let report_failures ~failures_csv =
   let failures = !the_failures in
   let n = Failures.count failures in
   if n > 0 then begin
@@ -1305,189 +1209,40 @@ let report_failures () =
     (fun path ->
       Ncdrf_report.Csv.write path (Failures.to_csv_rows failures);
       Printf.printf "[failures: %s]\n%!" path)
-    !failures_csv
+    failures_csv
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [EXPERIMENT...] [--quick] [--size N] [--seed N] [--jobs N]\n\
-    \       [--clusters K] [--read-ports N] [--write-ports N]\n\
-    \       [--csv DIR] [--metrics FILE] [--trace FILE] [--ledger FILE] [--no-cache]\n\
-    \       [--cache-dir DIR] [--cache-max-mb N] [--shard I/N]\n\
-    \       [--spill-batch K] [--spill-incremental]\n\
-    \       [--fail-fast] [--max-failures N] [--failures FILE] [--timeout SECS]\n\
-    \       [--inject stage=NAME[,loop=REGEX][,every=N]]\n";
-  exit 2
-
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let int_arg flag v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None ->
-      Printf.eprintf "%s: not an integer: %S\n" flag v;
-      usage ()
+let run settings ~failures ~failures_csv session selected =
+  the_settings := settings;
+  suite_cache := None;
+  the_failures := failures;
+  let selected = if selected = [] then names else selected in
+  let to_run = List.map (fun name -> (name, List.assoc name experiments)) selected in
+  let metrics (t0, collected, _) =
+    metrics_json ~jobs:(max 1 session.Session.jobs)
+      ~total_wall_s:(Telemetry.now () -. t0) collected
   in
-  let float_arg flag v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None ->
-      Printf.eprintf "%s: not a number: %S\n" flag v;
-      usage ()
-  in
-  let fail_fast = ref false in
-  let max_failures = ref None in
-  let rec parse = function
-    | "--quick" :: rest ->
-      quick ();
-      parse rest
-    | "--fail-fast" :: rest ->
-      fail_fast := true;
-      parse rest
-    | "--max-failures" :: n :: rest ->
-      max_failures := Some (max 0 (int_arg "--max-failures" n));
-      parse rest
-    | "--failures" :: file :: rest ->
-      failures_csv := Some file;
-      parse rest
-    | "--inject" :: spec :: rest ->
-      (match Fault.arm spec with
-       | Ok () -> ()
-       | Stdlib.Error msg ->
-         Printf.eprintf "bad --inject spec: %s\n" msg;
-         exit 2);
-      parse rest
-    | "--no-cache" :: rest ->
-      Artifact.set_cache_enabled false;
-      parse rest
-    | "--spill-batch" :: n :: rest ->
-      the_spill := { !the_spill with Ncdrf_spill.Spiller.batch = max 1 (int_arg "--spill-batch" n) };
-      parse rest
-    | "--spill-incremental" :: rest ->
-      the_spill := { !the_spill with Ncdrf_spill.Spiller.incremental = true };
-      parse rest
-    | "--csv" :: dir :: rest ->
-      csv_dir := Some dir;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      requested_jobs := max 1 (int_arg "--jobs" n);
-      parse rest
-    | "--metrics" :: file :: rest ->
-      metrics_path := Some file;
-      parse rest
-    | "--trace" :: file :: rest ->
-      trace_path := Some file;
-      parse rest
-    | "--ledger" :: file :: rest ->
-      ledger_path := Some file;
-      parse rest
-    | "--seed" :: n :: rest ->
-      suite_seed := int_arg "--seed" n;
-      parse rest
-    | "--size" :: n :: rest ->
-      suite_size := max 1 (int_arg "--size" n);
-      parse rest
-    | "--clusters" :: n :: rest ->
-      cluster_count := max 1 (int_arg "--clusters" n);
-      parse rest
-    | "--read-ports" :: n :: rest ->
-      rf_read_ports := Some (max 1 (int_arg "--read-ports" n));
-      parse rest
-    | "--write-ports" :: n :: rest ->
-      rf_write_ports := Some (max 1 (int_arg "--write-ports" n));
-      parse rest
-    | "--timeout" :: s :: rest ->
-      point_timeout := Some (Float.max 0.0 (float_arg "--timeout" s));
-      parse rest
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse rest
-    | "--cache-max-mb" :: n :: rest ->
-      cache_max_mb := max 0 (int_arg "--cache-max-mb" n);
-      parse rest
-    | "--shard" :: spec :: rest ->
-      (match String.index_opt spec '/' with
-       | Some slash ->
-         let index = int_of_string_opt (String.sub spec 0 slash) in
-         let count =
-           int_of_string_opt
-             (String.sub spec (slash + 1) (String.length spec - slash - 1))
-         in
-         (match (index, count) with
-          | Some i, Some n when n >= 1 && i >= 0 && i < n -> shard_spec := Some (i, n)
-          | _ ->
-            Printf.eprintf "--shard: expected I/N with 0 <= I < N, got %S\n" spec;
-            usage ())
-       | None ->
-         Printf.eprintf "--shard: expected I/N, got %S\n" spec;
-         usage ());
-      parse rest
-    | ("--csv" | "--jobs" | "--metrics" | "--trace" | "--ledger" | "--seed" | "--size"
-      | "--max-failures" | "--failures" | "--inject" | "--spill-batch" | "--clusters"
-      | "--read-ports" | "--write-ports" | "--timeout" | "--cache-dir" | "--cache-max-mb"
-      | "--shard")
-      :: [] ->
-      usage ()
-    | a :: rest -> a :: parse rest
-    | [] -> []
-  in
-  let selected = parse args in
-  (match !cache_dir with
-  | None -> ()
-  | Some dir -> (
-    try
-      Store.set_ambient
-        (Some (Store.open_store ~max_bytes:(!cache_max_mb * 1024 * 1024) ~dir ()))
-    with Sys_error msg ->
-      Printf.eprintf "--cache-dir: %s\n" msg;
-      exit 2));
-  the_failures := Failures.create ~fail_fast:!fail_fast ?max_failures:!max_failures ();
-  let to_run =
-    match selected with
-    | [] -> experiments
-    | names ->
-      List.map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> (name, f)
-          | None ->
-            Printf.eprintf "unknown experiment %S; known: %s\n" name
-              (String.concat " " (List.map fst experiments));
-            exit 2)
-        names
-  in
-  if !requested_jobs > 1 then the_pool := Some (Pool.create ~jobs:!requested_jobs ());
-  Telemetry.enable (!metrics_path <> None);
-  Trace.enable (!trace_path <> None);
-  Ledger.enable (!ledger_path <> None);
-  let collected = ref [] in
-  let collect m = collected := m :: !collected in
-  let t0 = Telemetry.now () in
-  let exit_code = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm ();
-      Option.iter Pool.shutdown !the_pool)
-    (fun () ->
-      try List.iter (run_experiment ~collect) to_run with
+  let _, _, code =
+    Session.run ~metrics ~label:"bench" session @@ fun pool ->
+    the_pool := Some pool;
+    let collected = ref [] in
+    let collect m = collected := m :: !collected in
+    let t0 = Telemetry.now () in
+    let code =
+      try
+        List.iter (run_experiment ~collect) to_run;
+        0
+      with
       | Failures.Abort { recorded; last; reason } ->
         Printf.eprintf "aborted (%s) after %d failure(s); last: %s\n" reason recorded
           (Error.to_string last);
-        exit_code := 1
+        1
       | Error.Error e ->
         Printf.eprintf "error: %s\n" (Error.to_string e);
-        exit_code := 1);
-  write_metrics ~total_wall_s:(Telemetry.now () -. t0) !collected;
-  (* Trace and ledger accumulate across every selected experiment;
-     publish them once, after the pool has quiesced. *)
-  Option.iter
-    (fun path ->
-      Trace.write_chrome ~path;
-      Printf.printf "[trace: %s]\n%!" path)
-    !trace_path;
-  Option.iter
-    (fun path ->
-      Ledger.write ~path;
-      Printf.printf "[ledger: %s]\n%!" path)
-    !ledger_path;
-  report_failures ();
-  if !exit_code <> 0 then exit !exit_code
+        1
+    in
+    (* A blank line has always set the [metrics: FILE] footer apart. *)
+    if session.Session.metrics <> None then print_newline ();
+    (t0, List.rev !collected, code)
+  in
+  report_failures ~failures_csv;
+  code

@@ -6,11 +6,15 @@
      dot       emit the dependence graph of a loop as Graphviz
      suite     summarize register pressure over the synthetic suite
      sweep     requirement of one loop across latencies and models
+     simulate  execute loops on the simulated machine vs the reference
+     kernels   list the built-in kernels with their requirements
      profile   analyze a --ledger run: slowest loops, cache hits,
                duration histograms
+     merge     union sharded --metrics/--ledger/--trace outputs
      example   walk the paper's worked example
      serve     run the compile daemon on a Unix-domain socket
      client    talk to a running daemon (schedule, suite, health)
+     bench     regenerate the paper's tables and figures
 
    See `ncdrf <cmd> --help` for options. *)
 
@@ -21,47 +25,77 @@ open Ncdrf_sched
 open Ncdrf_core
 
 (* ------------------------------------------------------------------ *)
-(* Shared argument converters.                                         *)
+(* Shared arguments: every flag is declared once, here, and each       *)
+(* command composes the ones it accepts.                               *)
 (* ------------------------------------------------------------------ *)
+
+module Error = Ncdrf_error.Error
+module Failures = Ncdrf_error.Failures
+module Fault = Ncdrf_fault.Fault
+module Protocol = Ncdrf_server.Protocol
+module Server = Ncdrf_server.Server
+module Client = Ncdrf_server.Client
+module Spiller = Ncdrf_spill.Spiller
 
 let model_conv =
   let parse s = Model.of_string s |> Result.map_error (fun e -> `Msg e) in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Model.to_string m))
 
-let spec_of ?read_ports ?write_ports ~clusters ~latency () =
-  {
-    Config.spec_latency = latency;
-    spec_clusters = clusters;
-    spec_read_ports = read_ports;
-    spec_write_ports = write_ports;
-  }
+(* Integers with a lower bound: an out-of-range value is a usage error
+   (exit 2), never a crash or a silent clamp. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some n -> Stdlib.Error (`Msg (Printf.sprintf "%d is out of range (must be >= %d)" n lo))
+    | None -> Stdlib.Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
-let config_of ?read_ports ?write_ports ~clusters ~latency () =
-  match Config.of_spec (spec_of ?read_ports ?write_ports ~clusters ~latency ()) with
-  | Ok config -> config
-  | Stdlib.Error msg -> invalid_arg msg
+(* An option's names, with or without its one-letter short form. *)
+let names ~short letter long = if short then [ letter; long ] else [ long ]
 
 let latency_arg =
   let doc = "Latency of the floating-point adders and multipliers (3 or 6 in the paper)." in
   Arg.(value & opt int 3 & info [ "l"; "latency" ] ~docv:"CYCLES" ~doc)
 
-let clusters_arg =
-  let doc =
-    "Number of clusters: 1 (unified machine) or $(docv) >= 2 subfiles (2 is the \
-     paper's dual machine)."
+(* The machine flags, validated through [Config.of_spec] as they are
+   parsed.  [ncdrf bench] sweeps the latency itself and spells the
+   flags without their short forms. *)
+let machine_term ?(latency = latency_arg) ?(short = true) () =
+  let clusters =
+    let doc =
+      "Number of clusters: 1 (unified machine) or $(docv) >= 2 subfiles (2 is the \
+       paper's dual machine)."
+    in
+    Arg.(value & opt int 2 & info (names ~short "c" "clusters") ~docv:"N" ~doc)
   in
-  Arg.(value & opt int 2 & info [ "c"; "clusters" ] ~docv:"N" ~doc)
-
-let read_ports_arg =
-  let doc =
-    "Cap each cluster's register-file reads per cycle (omit for unconstrained \
-     subfiles, the paper's machine)."
+  let read_ports =
+    let doc =
+      "Cap each cluster's register-file reads per cycle (omit for unconstrained \
+       subfiles, the paper's machine)."
+    in
+    Arg.(value & opt (some int) None & info [ "read-ports" ] ~docv:"N" ~doc)
   in
-  Arg.(value & opt (some int) None & info [ "read-ports" ] ~docv:"N" ~doc)
+  let write_ports =
+    let doc = "Cap each cluster's register-file writes per cycle (omit for unconstrained)." in
+    Arg.(value & opt (some int) None & info [ "write-ports" ] ~docv:"N" ~doc)
+  in
+  let spec latency clusters read_ports write_ports =
+    let spec =
+      {
+        Config.spec_latency = latency;
+        spec_clusters = clusters;
+        spec_read_ports = read_ports;
+        spec_write_ports = write_ports;
+      }
+    in
+    Result.map (fun _ -> spec) (Config.of_spec spec)
+  in
+  Term.(term_result' (const spec $ latency $ clusters $ read_ports $ write_ports))
 
-let write_ports_arg =
-  let doc = "Cap each cluster's register-file writes per cycle (omit for unconstrained)." in
-  Arg.(value & opt (some int) None & info [ "write-ports" ] ~docv:"N" ~doc)
+(* Only called on specs [machine_term] has validated. *)
+let config_of spec = Result.get_ok (Config.of_spec spec)
 
 let model_arg =
   let doc = "Register file model: ideal, unified, partitioned or swapped." in
@@ -83,6 +117,158 @@ let verbose_arg =
   let doc = "Enable debug logging." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
+let kernel_arg =
+  let doc = "Also print the kernel (steady-state VLIW code)." in
+  Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
+
+let spill_term =
+  let batch =
+    let doc =
+      "Spill up to $(docv) non-interfering victims per spill round (default 1, the \
+       paper's one-victim loop)."
+    in
+    Arg.(value & opt (int_at_least 1) 1 & info [ "spill-batch" ] ~docv:"K" ~doc)
+  in
+  let incremental =
+    let doc =
+      "Reschedule spill rounds incrementally, seeding the previous round's kernel and \
+       placing only the new memory operations."
+    in
+    Arg.(value & flag & info [ "spill-incremental" ] ~doc)
+  in
+  Term.(
+    const (fun batch incremental -> { Spiller.default_policy with batch; incremental })
+    $ batch $ incremental)
+
+let timeout_arg =
+  let doc =
+    "Wall budget in seconds on the monotonic clock.  In batch runs it bounds each \
+     (loop, model) point: a point over budget fails with the typed \
+     deadline_exceeded category and is recorded in the failure manifest like any \
+     other failure.  Under $(b,serve) it is the deadline of requests that carry \
+     none."
+  in
+  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
+
+let shard_arg =
+  let shard_conv =
+    let parse s =
+      match String.split_on_char '/' s with
+      | [ i; n ] -> (
+        match (int_of_string_opt i, int_of_string_opt n) with
+        | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
+        | _ -> Stdlib.Error (`Msg "expected I/N with 0 <= I < N"))
+      | _ -> Stdlib.Error (`Msg "expected I/N, e.g. 0/2")
+    in
+    Arg.conv (parse, fun ppf (i, n) -> Format.fprintf ppf "%d/%d" i n)
+  in
+  let doc =
+    "Compile only shard $(docv) (as I/N) of the point set.  Loops partition \
+     deterministically by content digest — the identity the ledger sorts on — so N \
+     shard processes cover the suite exactly once, and their $(b,--metrics) / \
+     $(b,--ledger) outputs union back into the unsharded run with $(b,ncdrf merge)."
+  in
+  Arg.(value & opt (some shard_conv) None & info [ "shard" ] ~docv:"I/N" ~doc)
+
+let apply_shard shard loops =
+  match shard with
+  | None -> loops
+  | Some (index, count) -> Suite_stats.shard ~index ~count loops
+
+let failures_csv_arg =
+  let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
+  Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
+
+(* The failure policy: a collector that keeps going by default, plus
+   the optional CSV manifest destination. *)
+let failures_term =
+  let fail_fast =
+    let doc =
+      "Abort on the first failed (loop, model) point instead of skipping and \
+       recording it (the default is to keep going)."
+    in
+    Arg.(value & flag & info [ "fail-fast" ] ~doc)
+  in
+  let max_failures =
+    let doc = "Abort once more than $(docv) points have failed." in
+    Arg.(value & opt (some (int_at_least 0)) None & info [ "max-failures" ] ~docv:"N" ~doc)
+  in
+  Term.(
+    const (fun fail_fast max_failures csv ->
+        (Failures.create ~fail_fast ?max_failures (), csv))
+    $ fail_fast $ max_failures $ failures_csv_arg)
+
+(* The run session: pool size, fault spec, compile caches and the three
+   observability outputs.  [ncdrf serve] takes no --no-cache; [ncdrf
+   bench] spells --jobs without its short form. *)
+let session_term ?(short = true) ?(no_cache = true) () =
+  let jobs =
+    let doc =
+      "Worker domains for the per-loop pipeline (default: the recommended domain \
+       count; below 1 runs serially).  Results are identical whatever the value."
+    in
+    Arg.(value & opt int (Ncdrf_parallel.Pool.default_jobs ())
+         & info (names ~short "j" "jobs") ~docv:"N" ~doc)
+  in
+  let inject =
+    let doc =
+      "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
+       Matching pipeline points raise a classified 'injected' failure; off by \
+       default and zero-cost when disarmed."
+    in
+    let print ppf spec = Format.pp_print_string ppf (Fault.spec_to_string spec) in
+    let spec_conv = Arg.conv' (Fault.parse, print) in
+    Arg.(value & opt (some spec_conv) None & info [ "inject" ] ~docv:"SPEC" ~doc)
+  in
+  let no_cache =
+    let doc = "Disable the compile cache (every stage recomputes)." in
+    if no_cache then Arg.(value & flag & info [ "no-cache" ] ~doc) else Term.const false
+  in
+  let cache_dir =
+    let doc =
+      "Persist compile artifacts in a content-addressed on-disk store under $(docv), \
+       shared safely between concurrent processes; a later run over the same store \
+       warm-starts from disk instead of recomputing."
+    in
+    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+  in
+  let cache_max_mb =
+    let doc =
+      "Evict least-recently-used store entries once the $(b,--cache-dir) store \
+       exceeds $(docv) megabytes (0 = no size budget)."
+    in
+    Arg.(value & opt (int_at_least 0) 0 & info [ "cache-max-mb" ] ~docv:"MB" ~doc)
+  in
+  let metrics =
+    let doc =
+      "Write a JSON metrics report (timers, counters, stage spans with p50/p90/p99) \
+       to $(docv) at the end of the run."
+    in
+    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  in
+  let trace =
+    let doc =
+      "Write a Chrome trace-event JSON file to $(docv): begin/end events per \
+       pipeline stage on one track per worker domain, loadable in \
+       chrome://tracing or Perfetto."
+    in
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  in
+  let ledger =
+    let doc =
+      "Write a JSONL run ledger to $(docv): one record per (config, loop) point \
+       (and, under $(b,serve), per request) with stage durations, cache traffic, II \
+       vs MII and error category.  Analyze it with $(b,ncdrf profile)."
+    in
+    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
+  in
+  let make jobs inject no_cache cache_dir cache_max_mb metrics trace ledger =
+    { Session.jobs; inject; no_cache; cache_dir; cache_max_mb; metrics; trace; ledger }
+  in
+  Term.(
+    const make $ jobs $ inject $ no_cache $ cache_dir $ cache_max_mb $ metrics $ trace
+    $ ledger)
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
@@ -93,72 +279,10 @@ let load_loops file name_filter =
   | None -> loops
   | Some n -> List.filter (fun g -> String.equal (Ddg.name g) n) loops
 
-module Error = Ncdrf_error.Error
-module Failures = Ncdrf_error.Failures
-module Fault = Ncdrf_fault.Fault
-module Protocol = Ncdrf_server.Protocol
-module Server = Ncdrf_server.Server
-module Client = Ncdrf_server.Client
-module Store = Ncdrf_cache.Store
-
-(* ------------------------------------------------------------------ *)
-(* Persistent store + sharding options shared by suite and serve.       *)
-(* ------------------------------------------------------------------ *)
-
-let shard_conv =
-  let parse s =
-    match String.split_on_char '/' s with
-    | [ i; n ] -> (
-      match (int_of_string_opt i, int_of_string_opt n) with
-      | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
-      | _ -> Stdlib.Error (`Msg "expected I/N with 0 <= I < N"))
-    | _ -> Stdlib.Error (`Msg "expected I/N, e.g. 0/2")
-  in
-  Arg.conv (parse, fun ppf (i, n) -> Format.fprintf ppf "%d/%d" i n)
-
-let shard_arg =
-  let doc =
-    "Compile only shard $(docv) (as I/N) of the point set.  Loops partition \
-     deterministically by content digest — the identity the ledger sorts on — so N \
-     shard processes cover the suite exactly once, and their $(b,--metrics) / \
-     $(b,--ledger) outputs union back into the unsharded run with $(b,ncdrf merge)."
-  in
-  Arg.(value & opt (some shard_conv) None & info [ "shard" ] ~docv:"I/N" ~doc)
-
-let cache_dir_arg =
-  let doc =
-    "Persist compile artifacts in a content-addressed on-disk store under $(docv), \
-     shared safely between concurrent processes; a later run over the same store \
-     warm-starts from disk instead of recomputing."
-  in
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-let cache_max_mb_arg =
-  let doc =
-    "Evict least-recently-used store entries once the $(b,--cache-dir) store \
-     exceeds $(docv) megabytes (0 = no size budget)."
-  in
-  Arg.(value & opt int 0 & info [ "cache-max-mb" ] ~docv:"MB" ~doc)
-
-let open_ambient_store ~cache_dir ~cache_max_mb =
-  match cache_dir with
-  | None -> ()
-  | Some dir -> (
-    try
-      Store.set_ambient
-        (Some (Store.open_store ~max_bytes:(cache_max_mb * 1024 * 1024) ~dir ()))
-    with Sys_error msg ->
-      Printf.eprintf "cannot open --cache-dir: %s\n" msg;
-      exit 2)
-
-let apply_shard shard loops =
-  match shard with
-  | None -> loops
-  | Some (index, count) -> Suite_stats.shard ~index ~count loops
-
 (* Uniform failure reporting for every subcommand: legacy front-end
    exceptions, classified pipeline errors, and policy aborts all exit 1
-   with a one-line diagnosis instead of a backtrace. *)
+   with a one-line diagnosis instead of a backtrace; a run whose setup
+   fails on a flag's value exits 2 like any other usage error. *)
 let handle_errors f =
   try f () with
   | Loop_lang.Parse_error { file; line; message } ->
@@ -176,37 +300,21 @@ let handle_errors f =
     Printf.eprintf "aborted (%s) after %d failure(s); last: %s\n" reason recorded
       (Error.to_string last);
     1
+  | Session.Setup_failed msg ->
+    Printf.eprintf "%s\n" msg;
+    2
 
 (* ------------------------------------------------------------------ *)
 (* schedule                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let spill_batch_arg =
-  let doc =
-    "Spill up to $(docv) non-interfering victims per spill round (default 1, the \
-     paper's one-victim loop)."
-  in
-  Arg.(value & opt int 1 & info [ "spill-batch" ] ~docv:"K" ~doc)
-
-let spill_incremental_arg =
-  let doc =
-    "Reschedule spill rounds incrementally, seeding the previous round's kernel and \
-     placing only the new memory operations."
-  in
-  Arg.(value & flag & info [ "spill-incremental" ] ~doc)
-
-let spill_policy ~batch ~incremental =
-  { Ncdrf_spill.Spiller.default_policy with batch; incremental }
-
 let schedule_cmd =
-  let run verbose file name latency clusters read_ports write_ports model capacity
-      spill_batch spill_incremental show_kernel =
+  let run verbose file name spec model capacity spill show_kernel =
     setup_logs verbose;
     handle_errors @@ fun () ->
     let loops = load_loops file name in
     if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
-    let config = config_of ?read_ports ?write_ports ~clusters ~latency () in
-    let spill = spill_policy ~batch:spill_batch ~incremental:spill_incremental in
+    let config = config_of spec in
     (* Printed through the protocol renderers, so `ncdrf client schedule`
        against a daemon produces these exact bytes. *)
     print_string (Protocol.render_machine_line (Format.asprintf "%a" Config.pp config));
@@ -221,16 +329,11 @@ let schedule_cmd =
       loops;
     0
   in
-  let kernel_arg =
-    let doc = "Also print the kernel (steady-state VLIW code)." in
-    Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
-  in
   let doc = "Modulo-schedule loops and report register requirements." in
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
-      const run $ verbose_arg $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg
-      $ read_ports_arg $ write_ports_arg $ model_arg $ capacity_arg $ spill_batch_arg
-      $ spill_incremental_arg $ kernel_arg)
+      const run $ verbose_arg $ file_arg $ loop_name_arg $ machine_term () $ model_arg
+      $ capacity_arg $ spill_term $ kernel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
@@ -250,31 +353,24 @@ let dot_cmd =
 (* suite                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let write_failures_csv path failures =
-  Ncdrf_report.Csv.write path (Failures.to_csv_rows failures);
-  Format.printf "[failures: %s]@." path
+let write_failures_csv path rows =
+  Ncdrf_report.Csv.write path rows;
+  Printf.printf "[failures: %s]\n%!" path
+
+let size_arg =
+  let doc = "Number of loops in the synthetic suite." in
+  Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
+
+let registers_arg =
+  let doc = "Register budget to test against." in
+  Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
 
 let suite_cmd =
-  let run latency clusters read_ports write_ports size registers jobs timeout metrics
-      fail_fast max_failures inject failures_csv no_cache trace ledger cache_dir
-      cache_max_mb shard =
-    let module Pool = Ncdrf_parallel.Pool in
-    let module Telemetry = Ncdrf_telemetry.Telemetry in
-    let module Trace = Ncdrf_telemetry.Trace in
-    let module Ledger = Ncdrf_telemetry.Ledger in
-    (match inject with
-     | None -> ()
-     | Some spec ->
-       (match Fault.arm spec with
-        | Ok () -> ()
-        | Stdlib.Error msg ->
-          Printf.eprintf "bad --inject spec: %s\n" msg;
-          exit 2));
-    let failures = Failures.create ~fail_fast ?max_failures () in
+  let run spec size registers timeout (failures, failures_csv) shard session =
     handle_errors @@ fun () ->
-    Fun.protect ~finally:Fault.disarm @@ fun () ->
-    let config = config_of ?read_ports ?write_ports ~clusters ~latency () in
-    open_ambient_store ~cache_dir ~cache_max_mb;
+    let module Telemetry = Ncdrf_telemetry.Telemetry in
+    let module Json = Telemetry.Json in
+    let config = config_of spec in
     let loops =
       apply_shard shard
         (List.map
@@ -283,147 +379,54 @@ let suite_cmd =
                weight = e.Ncdrf_workloads.Suite.iterations })
            (Ncdrf_workloads.Suite.full ~size ()))
     in
-    Telemetry.enable (metrics <> None);
-    Trace.enable (trace <> None);
-    Ledger.enable (ledger <> None);
-    Ledger.set_label "suite";
-    if no_cache then Artifact.set_cache_enabled false;
-    let t0 = Telemetry.now () in
-    Pool.with_pool ~jobs (fun pool ->
-        let n_jobs = Pool.jobs pool in
-        (* Printed through the protocol renderers, so `ncdrf client
-           suite` against a daemon produces these exact bytes. *)
-        print_string
-          (Protocol.render_suite_header ~size
-             ~machine:(Format.asprintf "%a" Config.pp config)
-             ~jobs:n_jobs);
-        print_string (Protocol.render_suite_table_head ~registers);
-        (* One scheduling pass per loop, shared by the three models. *)
-        List.iter
-          (fun (model, ms) ->
-            let s, d = Suite_stats.allocatable ms ~r:registers in
-            print_string (Protocol.render_suite_row (model, s, d)))
-          (Suite_stats.measure_all ~pool ~failures ?timeout_s:timeout ~config
-             ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
-             loops));
-    print_string (Protocol.render_failure_summary (Failures.list failures));
-    (match metrics with
-     | None -> ()
-     | Some path ->
-       let wall = Telemetry.now () -. t0 in
-       let json =
-         Telemetry.Json.Obj
-           ([
-              ("schema", Telemetry.Json.String "ncdrf-suite-metrics/1");
-              ("jobs", Telemetry.Json.Int (max 1 jobs));
-              ("suite_size", Telemetry.Json.Int size);
-              ("wall_s", Telemetry.Json.Float wall);
-              ( "loops_per_sec",
-                if wall > 0.0 then
-                  Telemetry.Json.Float
-                    (float_of_int (Telemetry.counter "pipeline.loops") /. wall)
-                else Telemetry.Json.Null );
-              ("telemetry", Telemetry.to_json ());
-            ]
-           @
-           if Failures.count failures = 0 then []
-           else [ ("failures", Failures.to_json failures) ])
-       in
-       Telemetry.write_json ~path json;
-       Format.printf "[metrics: %s]@." path);
-    (match trace with
-     | None -> ()
-     | Some path ->
-       Trace.write_chrome ~path;
-       Format.printf "[trace: %s]@." path);
-    (match ledger with
-     | None -> ()
-     | Some path ->
-       Ledger.write ~path;
-       Format.printf "[ledger: %s]@." path);
-    (match failures_csv with
-     | None -> ()
-     | Some path -> write_failures_csv path failures);
+    let metrics t0 =
+      let wall = Telemetry.now () -. t0 in
+      Json.Obj
+        ([
+           ("schema", Json.String "ncdrf-suite-metrics/1");
+           ("jobs", Json.Int (max 1 session.Session.jobs));
+           ("suite_size", Json.Int size);
+           ("wall_s", Json.Float wall);
+           ( "loops_per_sec",
+             if wall > 0.0 then
+               Json.Float (float_of_int (Telemetry.counter "pipeline.loops") /. wall)
+             else Json.Null );
+           ("telemetry", Telemetry.to_json ());
+         ]
+        @
+        if Failures.count failures = 0 then []
+        else [ ("failures", Failures.to_json failures) ])
+    in
+    ignore
+      (Session.run ~metrics ~label:"suite" session (fun pool ->
+           let t0 = Telemetry.now () in
+           (* Printed through the protocol renderers, so `ncdrf client
+              suite` against a daemon produces these exact bytes. *)
+           print_string
+             (Protocol.render_suite_header ~size
+                ~machine:(Format.asprintf "%a" Config.pp config)
+                ~jobs:(Ncdrf_parallel.Pool.jobs pool));
+           print_string (Protocol.render_suite_table_head ~registers);
+           (* One scheduling pass per loop, shared by the three models. *)
+           List.iter
+             (fun (model, ms) ->
+               let s, d = Suite_stats.allocatable ms ~r:registers in
+               print_string (Protocol.render_suite_row (model, s, d)))
+             (Suite_stats.measure_all ~pool ~failures ?timeout_s:timeout ~config
+                ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
+                loops);
+           print_string (Protocol.render_failure_summary (Failures.list failures));
+           t0));
+    Option.iter
+      (fun path -> write_failures_csv path (Failures.to_csv_rows failures))
+      failures_csv;
     0
-  in
-  let size_arg =
-    let doc = "Number of loops in the synthetic suite." in
-    Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
-  in
-  let registers_arg =
-    let doc = "Register budget to test against." in
-    Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the per-loop pipeline (default: the recommended domain \
-       count).  Results are identical whatever the value."
-    in
-    Arg.(value & opt int (Ncdrf_parallel.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let timeout_arg =
-    let doc =
-      "Per-point wall budget in seconds (monotonic clock): a (loop, model) point \
-       over budget fails with the typed deadline_exceeded category and is recorded \
-       in the failure manifest like any other failure."
-    in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
-  in
-  let metrics_arg =
-    let doc = "Write a JSON telemetry report (timers, counters, stage spans) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let fail_fast_arg =
-    let doc =
-      "Abort on the first failed (loop, model) point instead of skipping and \
-       recording it (the default is to keep going)."
-    in
-    Arg.(value & flag & info [ "fail-fast" ] ~doc)
-  in
-  let max_failures_arg =
-    let doc = "Abort once more than $(docv) points have failed." in
-    Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
-  in
-  let inject_arg =
-    let doc =
-      "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
-       Matching pipeline points raise a classified 'injected' failure; off by \
-       default and zero-cost when disarmed."
-    in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-  in
-  let failures_arg =
-    let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
-  in
-  let no_cache_arg =
-    let doc = "Disable the compile cache (every stage recomputes)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
-  let trace_arg =
-    let doc =
-      "Write a Chrome trace-event JSON file to $(docv): begin/end events per \
-       pipeline stage on one track per worker domain, loadable in \
-       chrome://tracing or Perfetto."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let ledger_arg =
-    let doc =
-      "Write a JSONL run ledger to $(docv): one record per (config, loop) point \
-       with stage durations, cache traffic, II vs MII and error category.  \
-       Analyze it with $(b,ncdrf profile)."
-    in
-    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
   in
   let doc = "Register-pressure summary over the synthetic Perfect-Club-like suite." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
-      const run $ latency_arg $ clusters_arg $ read_ports_arg $ write_ports_arg
-      $ size_arg $ registers_arg $ jobs_arg $ timeout_arg $ metrics_arg $ fail_fast_arg
-      $ max_failures_arg $ inject_arg $ failures_arg $ no_cache_arg $ trace_arg
-      $ ledger_arg $ cache_dir_arg $ cache_max_mb_arg $ shard_arg)
+      const run $ machine_term () $ size_arg $ registers_arg $ timeout_arg $ failures_term
+      $ shard_arg $ session_term ())
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -463,12 +466,12 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 
 let simulate_cmd =
-  let run file name latency clusters read_ports write_ports iterations =
+  let run file name spec iterations =
     handle_errors @@ fun () ->
       let loops = load_loops file name in
       if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
       let config =
-        config_of ?read_ports ?write_ports ~clusters:(max clusters 2) ~latency ()
+        config_of { spec with Config.spec_clusters = max spec.Config.spec_clusters 2 }
       in
       let clustered_tag =
         if Config.num_clusters config = 2 then "dual"
@@ -507,8 +510,7 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg
-      $ read_ports_arg $ write_ports_arg $ iterations_arg)
+      const run $ file_arg $ loop_name_arg $ machine_term () $ iterations_arg)
 
 (* ------------------------------------------------------------------ *)
 (* kernels                                                             *)
@@ -987,38 +989,18 @@ let socket_arg =
   Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let serve_cmd =
-  let run verbose socket jobs max_inflight queue timeout drain_grace metrics trace
-      ledger inject cache_dir cache_max_mb =
+  let run verbose socket max_inflight queue timeout drain_grace session =
     setup_logs verbose;
-    (match inject with
-     | None -> ()
-     | Some spec ->
-       (match Fault.arm spec with
-        | Ok () -> ()
-        | Stdlib.Error msg ->
-          Printf.eprintf "bad --inject spec: %s\n" msg;
-          exit 2));
     handle_errors @@ fun () ->
-    Fun.protect ~finally:Fault.disarm @@ fun () ->
     Server.run
       {
         Server.socket_path = socket;
-        jobs;
         max_inflight;
         queue_bound = queue;
         default_timeout_s = timeout;
         drain_grace_s = drain_grace;
-        metrics;
-        trace;
-        ledger;
-        cache_dir;
-        cache_max_mb;
+        session;
       }
-  in
-  let jobs_arg =
-    let doc = "Worker domains of the shared compile pool." in
-    Arg.(value & opt int (Ncdrf_parallel.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let max_inflight_arg =
     let doc =
@@ -1035,10 +1017,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 8 & info [ "queue" ] ~docv:"N" ~doc)
   in
-  let timeout_arg =
-    let doc = "Default per-request deadline in seconds (requests may carry their own)." in
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
-  in
   let drain_grace_arg =
     let doc =
       "On SIGTERM/SIGINT, let in-flight requests finish for $(docv) seconds before \
@@ -1046,34 +1024,11 @@ let serve_cmd =
     in
     Arg.(value & opt float 5.0 & info [ "drain-grace" ] ~docv:"SECS" ~doc)
   in
-  let metrics_arg =
-    let doc = "Publish final serving metrics JSON to $(docv) on drain (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let trace_arg =
-    let doc = "Publish a Chrome trace of the serving session to $(docv) on drain." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let ledger_arg =
-    let doc =
-      "Publish the run ledger to $(docv) on drain: one record per request plus one \
-       per compiled point."
-    in
-    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-  in
-  let inject_arg =
-    let doc =
-      "Arm a deterministic fault, as in $(b,ncdrf suite): matching points raise a \
-       classified 'injected' failure, which the daemon must contain."
-    in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-  in
   let doc = "Serve scheduling requests over a Unix-domain socket (JSONL protocol)." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ verbose_arg $ socket_arg $ jobs_arg $ max_inflight_arg
-      $ queue_arg $ timeout_arg $ drain_grace_arg $ metrics_arg $ trace_arg
-      $ ledger_arg $ inject_arg $ cache_dir_arg $ cache_max_mb_arg)
+      const run $ verbose_arg $ socket_arg $ max_inflight_arg $ queue_arg $ timeout_arg
+      $ drain_grace_arg $ session_term ~no_cache:false ())
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)
@@ -1172,8 +1127,8 @@ let client_health_cmd ~name ~kind =
   Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg $ connect_timeout_arg)
 
 let client_schedule_cmd =
-  let run socket connect_timeout retries timeout file name latency clusters read_ports
-      write_ports model capacity spill_batch spill_incremental show_kernel =
+  let run socket connect_timeout retries timeout file name spec model capacity spill
+      show_kernel =
     let source =
       try In_channel.with_open_text file In_channel.input_all
       with Sys_error msg ->
@@ -1185,11 +1140,11 @@ let client_schedule_cmd =
         {
           workload = Protocol.Source source;
           only = name;
-          spec = spec_of ?read_ports ?write_ports ~clusters ~latency ();
+          spec;
           model;
           capacity;
-          spill_batch;
-          spill_incremental;
+          spill_batch = spill.Spiller.batch;
+          spill_incremental = spill.Spiller.incremental;
           show_kernel;
         }
     in
@@ -1207,25 +1162,16 @@ let client_schedule_cmd =
           1)
       ()
   in
-  let kernel_arg =
-    let doc = "Also print the kernel (steady-state VLIW code)." in
-    Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
-  in
   let doc = "Compile a loop file on the daemon; output matches $(b,ncdrf schedule)." in
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
       const run $ socket_arg $ connect_timeout_arg $ retries_arg $ request_timeout_arg
-      $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg $ read_ports_arg
-      $ write_ports_arg $ model_arg $ capacity_arg $ spill_batch_arg
-      $ spill_incremental_arg $ kernel_arg)
+      $ file_arg $ loop_name_arg $ machine_term () $ model_arg $ capacity_arg $ spill_term
+      $ kernel_arg)
 
 let client_suite_cmd =
-  let run socket connect_timeout retries timeout latency clusters read_ports write_ports
-      size registers failures_csv =
-    let kind =
-      Protocol.Suite
-        { spec = spec_of ?read_ports ?write_ports ~clusters ~latency (); size; registers }
-    in
+  let run socket connect_timeout retries timeout spec size registers failures_csv =
+    let kind = Protocol.Suite { spec; size; registers } in
     with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s:timeout
       ~on_body:(function
         | Protocol.Suite_report { machine; size; jobs; registers; rows; failures } ->
@@ -1233,35 +1179,20 @@ let client_suite_cmd =
           print_string (Protocol.render_suite_table_head ~registers);
           List.iter (fun row -> print_string (Protocol.render_suite_row row)) rows;
           print_string (Protocol.render_failure_summary failures);
-          (match failures_csv with
-           | None -> ()
-           | Some path ->
-             Ncdrf_report.Csv.write path (Failures.csv_rows_of_list failures);
-             Format.printf "[failures: %s]@." path);
+          Option.iter
+            (fun path -> write_failures_csv path (Failures.csv_rows_of_list failures))
+            failures_csv;
           0
         | _ ->
           Printf.eprintf "error: unexpected response kind\n";
           1)
       ()
   in
-  let size_arg =
-    let doc = "Number of loops in the synthetic suite." in
-    Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
-  in
-  let registers_arg =
-    let doc = "Register budget to test against." in
-    Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
-  in
-  let failures_arg =
-    let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
-  in
   let doc = "Run the suite summary on the daemon; output matches $(b,ncdrf suite)." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
       const run $ socket_arg $ connect_timeout_arg $ retries_arg $ request_timeout_arg
-      $ latency_arg $ clusters_arg $ read_ports_arg $ write_ports_arg $ size_arg
-      $ registers_arg $ failures_arg)
+      $ machine_term () $ size_arg $ registers_arg $ failures_csv_arg)
 
 let client_cmd =
   let doc = "Talk to a running $(b,ncdrf serve) daemon." in
@@ -1296,54 +1227,53 @@ let example_cmd =
   let doc = "Schedule the paper's worked example and print every artifact." in
   Cmd.v (Cmd.info "example" ~doc) Term.(const run $ const ())
 
-(* One-screen usage covering every subcommand and the suite's
-   accumulated flags; printed to stderr (after cmdliner's own
-   diagnostic) whenever the command line does not parse, which exits 2
-   instead of cmdliner's default 124. *)
-let usage =
-  String.concat "\n"
-    [
-      "usage: ncdrf COMMAND [OPTION]...";
-      "";
-      "commands:";
-      "  schedule FILE   modulo-schedule loops; print schedules, kernels, requirements";
-      "  dot FILE        emit dependence graphs as Graphviz DOT";
-      "  suite           register-pressure summary over the synthetic suite";
-      "  sweep FILE      requirement of each loop across FP latencies and models";
-      "  simulate FILE   execute loops on the simulated machine vs the reference";
-      "  kernels         list built-in kernels with their register requirements";
-      "  profile LEDGER...  analyze --ledger runs (shard ledgers merge): slowest loops,";
-      "                  cache hits, histograms; --format json for machine-readable";
-      "  merge FILE...   union sharded --metrics/--ledger/--trace outputs into one run";
-      "  example         walk the paper's worked example";
-      "  serve           run the compile daemon on a Unix-domain socket";
-      "                  (--max-inflight N concurrent requests, default 4)";
-      "  client CMD      schedule/suite/health against a running daemon";
-      "";
-      "suite options:";
-      "  -l, --latency N    FP add/mul latency (default 3)";
-      "  -c, --clusters K   clusters/subfiles: 1 = unified, 2 = dual (default), K > 2";
-      "      --read-ports N   per-subfile register-file read-port cap (default: none)";
-      "      --write-ports N  per-subfile register-file write-port cap (default: none)";
-      "      --size N       loops in the synthetic suite (default 300)";
-      "  -r, --registers N  register budget to test against (default 32)";
-      "  -j, --jobs N       worker domains (results identical for any N)";
-      "      --timeout SECS per-point wall budget (typed deadline_exceeded failures)";
-      "      --metrics FILE JSON telemetry: spans with p50/p90/p99, counters";
-      "      --trace FILE   Chrome trace-event JSON (chrome://tracing, Perfetto)";
-      "      --ledger FILE  JSONL run ledger, one record per (config, loop) point";
-      "      --no-cache     disable the compile cache";
-      "      --cache-dir DIR   persistent artifact store shared across processes";
-      "      --cache-max-mb N  LRU-evict the store beyond N megabytes (0 = unlimited)";
-      "      --shard I/N    compile only shard I of N (merge outputs with ncdrf merge)";
-      "      --inject SPEC  arm a fault: stage=NAME[,loop=REGEX][,every=N]";
-      "      --fail-fast    abort on the first failed point";
-      "      --max-failures N  abort once more than N points have failed";
-      "      --failures FILE   write the failure manifest as CSV";
-      "";
-      "run 'ncdrf COMMAND --help' for the full manual of one command.";
-      "";
-    ]
+(* ------------------------------------------------------------------ *)
+(* bench                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let bench_cmd =
+  let run experiments quick size seed csv_dir spec spill timeout shard
+      (failures, failures_csv) session =
+    handle_errors @@ fun () ->
+    let size = match size with Some n -> n | None -> if quick then 150 else 795 in
+    Bench.run
+      { Bench.size; seed; csv_dir; spec; spill; timeout; shard }
+      ~failures ~failures_csv session experiments
+  in
+  let experiments_arg =
+    let doc =
+      Printf.sprintf "Experiments to run, in order (default: all of them): %s."
+        (String.concat ", " Bench.names)
+    in
+    let names = List.map (fun n -> (n, n)) Bench.names in
+    Arg.(value & pos_all (enum names) [] & info [] ~docv:"EXPERIMENT" ~doc)
+  in
+  let quick_arg =
+    let doc = "Use a 150-loop suite instead of the full 795 loops." in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let size_arg =
+    let doc = "Loops in the synthetic suite (overrides $(b,--quick))." in
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "size" ] ~docv:"N" ~doc)
+  in
+  let seed_arg =
+    let doc = "Seed of the synthetic suite." in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+  in
+  let csv_arg =
+    let doc = "Mirror every figure series to CSV files under $(docv)." in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let doc =
+    "Regenerate the paper's tables and figures, plus ablations, extensions and \
+     timing benches, on the synthetic suite."
+  in
+  Cmd.v (Cmd.info "bench" ~doc)
+    Term.(
+      const run $ experiments_arg $ quick_arg $ size_arg $ seed_arg $ csv_arg
+      $ machine_term ~latency:(const 3) ~short:false ()
+      $ spill_term $ timeout_arg $ shard_arg $ failures_term
+      $ session_term ~short:false ())
 
 let () =
   let doc = "non-consistent dual register files for software-pipelined loops" in
@@ -1351,12 +1281,11 @@ let () =
   let group =
     Cmd.group info
       [ schedule_cmd; dot_cmd; suite_cmd; sweep_cmd; simulate_cmd; kernels_cmd;
-        profile_cmd; merge_cmd; example_cmd; serve_cmd; client_cmd ]
+        profile_cmd; merge_cmd; example_cmd; serve_cmd; client_cmd; bench_cmd ]
   in
+  (* Usage errors exit 2 rather than cmdliner's default 124. *)
   match Cmd.eval_value group with
   | Ok (`Ok code) -> exit code
   | Ok (`Help | `Version) -> exit 0
-  | Stdlib.Error (`Parse | `Term) ->
-    prerr_string usage;
-    exit 2
+  | Stdlib.Error (`Parse | `Term) -> exit 2
   | Stdlib.Error `Exn -> exit 125

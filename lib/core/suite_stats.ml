@@ -48,7 +48,7 @@ let shard ~index ~count loops =
    point — the serving daemon passes its per-request token here so
    pool workers see the request's deadline and drain-cancellation even
    though they run on other domains. *)
-let suite_map ?pool ?failures ?timeout_s ?deadline ~f loops =
+let map ?pool ?failures ?timeout_s ?deadline ~f loops =
   let f =
     match deadline with
     | None -> f
@@ -109,7 +109,7 @@ let measure_all ?pool ?failures ?timeout_s ?deadline ~config ~models loops =
      end);
     rows
   in
-  let per_loop = suite_map ?pool ?failures ?timeout_s ?deadline ~f:one loops in
+  let per_loop = map ?pool ?failures ?timeout_s ?deadline ~f:one loops in
   List.mapi (fun i model -> (model, List.map (fun row -> List.nth row i) per_loop)) models
 
 let measure ?pool ?failures ?timeout_s ?deadline ~config ~model loops =
@@ -182,7 +182,7 @@ let performance ?pool ?failures ?timeout_s ?deadline ?spill ~config ~model ~capa
      stays a serial fold in input order so the sums are bit-identical
      whatever the worker count. *)
   let compiled =
-    suite_map ?pool ?failures ?timeout_s ?deadline
+    map ?pool ?failures ?timeout_s ?deadline
       ~f:(fun loop -> (loop, Pipeline.run ~config ~model ~capacity ?spill loop.ddg))
       loops
   in

@@ -28,6 +28,19 @@ type measurement = {
     [0 <= index < count]. *)
 val shard : index:int -> count:int -> workload list -> workload list
 
+(** [map ~f loops] applies a per-loop stage over the suite with the
+    pool, failure and deadline semantics described under
+    {!measure_all}: results in input order, failing loops recorded in
+    [failures] (or propagated without it) and dropped. *)
+val map :
+  ?pool:Ncdrf_parallel.Pool.t ->
+  ?failures:Ncdrf_error.Failures.t ->
+  ?timeout_s:float ->
+  ?deadline:Ncdrf_error.Deadline.token ->
+  f:(workload -> 'a) ->
+  workload list ->
+  'a list
+
 (** Requirement of every loop under each of [models] with unlimited
     registers (Figures 6 and 7 input), from {b one} scheduling pass per
     loop: the raw schedule is an {!Artifact} every model's view reuses,

@@ -10,8 +10,12 @@
    [--timeout] inside a per-request deadline honors whichever is
    tighter). *)
 
+(* Monotonic, not wall time: a long-running daemon's deadlines must not
+   fire (or fail to fire) because NTP stepped the system clock. *)
+let now () = Ncdrf_telemetry.Telemetry.now ()
+
 type token = {
-  deadline : float option;  (* absolute, monotonic seconds (Budget.now) *)
+  deadline : float option;  (* absolute, monotonic seconds ([now]) *)
   timeout_s : float option;  (* the original relative budget, for messages *)
   canceled : bool Atomic.t;
   mutable cancel_reason : string;
@@ -19,7 +23,7 @@ type token = {
 
 let make ?timeout_s () =
   {
-    deadline = Option.map (fun s -> Budget.now () +. s) timeout_s;
+    deadline = Option.map (fun s -> now () +. s) timeout_s;
     timeout_s;
     canceled = Atomic.make false;
     cancel_reason = "canceled";
@@ -32,10 +36,10 @@ let cancel ?(reason = "canceled") t =
 let canceled t = Atomic.get t.canceled
 
 let expired t =
-  match t.deadline with None -> false | Some d -> Budget.now () > d
+  match t.deadline with None -> false | Some d -> now () > d
 
 let time_left t =
-  match t.deadline with None -> infinity | Some d -> d -. Budget.now ()
+  match t.deadline with None -> infinity | Some d -> d -. now ()
 
 (* (domain id, thread id) -> installed token stack, innermost first.
    The mutex is uncontended in batch mode and taken only at scope

@@ -4,7 +4,7 @@
     must be able to revoke in-flight work while draining; batch mode
     reuses the same machinery for [--timeout SECS] per-point budgets.
     A {!token} carries an absolute monotonic deadline (never wall time
-    — see {!Budget.now}) plus a cancellation flag; it is installed
+    — see {!now}) plus a cancellation flag; it is installed
     {e ambiently} for a dynamic scope with {!with_token}, and pipeline
     stages poll {!check} at their boundaries (stage entry, spill
     rounds, II attempts).  Expiry and cancellation surface as the typed
@@ -18,6 +18,13 @@
     on sibling systhreads and pool workers on other domains never see
     each other's tokens; sharing one token across threads is the
     intended way to bound a fanned-out request. *)
+
+(** The clock deadlines read: the {e monotonic} clock
+    ([Telemetry.now], CLOCK_MONOTONIC), never [Unix.gettimeofday] — an
+    NTP step in a long-running daemon must not expire (or extend) every
+    in-flight deadline.  Exposed so a regression test can pin the
+    source. *)
+val now : unit -> float
 
 type token
 

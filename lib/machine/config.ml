@@ -168,9 +168,14 @@ let default_spec =
 
 let of_spec { spec_latency = latency; spec_clusters = clusters;
               spec_read_ports = read_ports; spec_write_ports = write_ports } =
+  let below_one = function Some n -> n < 1 | None -> false in
   match clusters with
   | n when n < 1 ->
     Error (Printf.sprintf "unsupported cluster count %d (must be >= 1)" n)
+  | _ when latency < 1 ->
+    Error (Printf.sprintf "unsupported latency %d (must be >= 1)" latency)
+  | _ when below_one read_ports || below_one write_ports ->
+    Error "register-file port caps must be >= 1"
   | 1 ->
     Ok
       (match read_ports, write_ports with

@@ -1,8 +1,6 @@
 open Ncdrf_ir
 open Ncdrf_machine
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
-module Telemetry = Ncdrf_telemetry.Telemetry
 module Trace = Ncdrf_telemetry.Trace
 
 type cluster_policy =
@@ -206,8 +204,8 @@ let highest_unscheduled st =
    state's budget.  Shared by [attempt] (which starts from an empty
    placement) and [reschedule_incremental] (which starts from a seeded
    one).  Returns false on budget exhaustion; raises only when a unit
-   class has zero capacity or the external [meter] runs out. *)
-let place_all st ~meter =
+   class has zero capacity. *)
+let place_all st =
   let ddg = st.ddg and ii = st.ii in
   let rec loop () =
     let v = highest_unscheduled st in
@@ -215,17 +213,6 @@ let place_all st ~meter =
     else if st.budget <= 0 then false
     else begin
       st.budget <- st.budget - 1;
-      (match meter with
-       | None -> ()
-       | Some m ->
-         Budget.spend m;
-         (match Budget.exceeded m with
-          | None -> ()
-          | Some reason ->
-            Telemetry.incr "budget.exhausted";
-            Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule"
-              Error.Budget_exhausted "%s after %d placements" reason
-              (Budget.steps_used m)));
       let from = estart st v in
       (match try_window st v ~from with
        | Some (cycle, cluster) -> place st v ~cycle ~cluster
@@ -253,7 +240,7 @@ let schedule_of_state st =
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
+let attempt cfg ddg ~ii ~budget ~policy ~placement =
   match heights cfg ddg ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -273,7 +260,7 @@ let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
         budget;
       }
     in
-    if place_all st ~meter then Some (schedule_of_state st) else None
+    if place_all st then Some (schedule_of_state st) else None
 
 let reschedule_incremental ?(budget_ratio = 8) ?(cluster_policy = Balance)
     ?(placement_policy = Asap) ~base cfg ddg =
@@ -333,7 +320,7 @@ let reschedule_incremental ?(budget_ratio = 8) ?(cluster_policy = Balance)
             && st.cycle.(q) < st.cycle.(p) + weight st e
           then unschedule st q)
         (Ddg.edges ddg);
-      match place_all st ~meter:None with
+      match place_all st with
       | true -> Some (schedule_of_state st)
       | false -> None
       | exception Error.Error e when e.Error.category = Error.Schedule_infeasible ->
@@ -342,7 +329,7 @@ let reschedule_incremental ?(budget_ratio = 8) ?(cluster_policy = Balance)
         None
     end
 
-let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
+let schedule_with_min_ii ?(budget_ratio = 8)
     ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap)
     ~min_ii cfg ddg =
   (match Ddg.validate ddg with
@@ -356,9 +343,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
      exactly [max (Mii.mii cfg ddg) min_ii]. *)
   let mii = Mii.mii_with_floor ~floor:min_ii cfg ddg in
   let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
-  (* One meter spans the whole II search: restarts at a larger II do not
-     refill the account. *)
-  let meter = if Budget.limited budget then Some (Budget.start budget) else None in
   let rec search ii =
     (* Deadline poll once per II attempt: a request canceled or expired
        mid-search dies with a typed error instead of grinding through
@@ -369,7 +353,7 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
       match
-        attempt cfg ddg ~ii ~budget:attempt_budget ~meter ~policy:cluster_policy
+        attempt cfg ddg ~ii ~budget:attempt_budget ~policy:cluster_policy
           ~placement:placement_policy
       with
       | Some s ->
@@ -386,7 +370,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
   in
   search mii
 
-let schedule ?budget ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg
-    ddg =
-  schedule_with_min_ii ?budget ?budget_ratio ?max_ii_slack ?cluster_policy
-    ?placement_policy ~min_ii:1 cfg ddg
+let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
+  schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy
+    ~min_ii:1 cfg ddg

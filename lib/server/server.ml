@@ -11,6 +11,7 @@ module Model = Ncdrf_core.Model
 module Pipeline = Ncdrf_core.Pipeline
 module Suite_stats = Ncdrf_core.Suite_stats
 module Artifact = Ncdrf_core.Artifact
+module Session = Ncdrf_core.Session
 module Ddg = Ncdrf_ir.Ddg
 module Loop_lang = Ncdrf_ir.Loop_lang
 module Kernel = Ncdrf_sched.Kernel
@@ -21,31 +22,21 @@ module Stats = Ncdrf_report.Stats
 
 type opts = {
   socket_path : string;
-  jobs : int;
   max_inflight : int;  (* concurrent request execution slots *)
   queue_bound : int;
   default_timeout_s : float option;
   drain_grace_s : float;
-  metrics : string option;
-  trace : string option;
-  ledger : string option;
-  cache_dir : string option;
-  cache_max_mb : int;
+  session : Session.opts;
 }
 
 let default_opts ~socket_path =
   {
     socket_path;
-    jobs = Pool.default_jobs ();
     max_inflight = 4;
     queue_bound = 8;
     default_timeout_s = None;
     drain_grace_s = 5.0;
-    metrics = None;
-    trace = None;
-    ledger = None;
-    cache_dir = None;
-    cache_max_mb = 0;
+    session = Session.default_opts;
   }
 
 (* Requests execute concurrently up to [opts.max_inflight]: trace
@@ -425,76 +416,43 @@ let bind_socket path =
   Unix.listen fd 64;
   fd
 
-let publish st =
-  Option.iter
-    (fun path ->
-      let errors =
-        Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.err_counts []
-        |> List.sort compare
-      in
-      let kinds =
-        Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.kind_counts []
-        |> List.sort compare
-      in
-      let pct p =
-        match st.latencies with [] -> 0.0 | l -> Stats.percentile p l
-      in
-      Telemetry.write_json ~path
-        (Json.Obj
-           [
-             ("schema", Json.String "ncdrf-serve-metrics/1");
-             ("jobs", Json.Int (Pool.jobs st.pool));
-             ("max_inflight", Json.Int st.opts.max_inflight);
-             ("uptime_s", Json.Float (Telemetry.now () -. st.started));
-             ("requests.served", Json.Int st.served);
-             ("requests.shed", Json.Int st.shed);
-             ("requests.inflight", Json.Int st.running);
-             ("requests.queued", Json.Int st.waiting);
-             ("requests.by_kind", Json.Obj kinds);
-             ( "latency",
-               Json.Obj
-                 [
-                   ("count", Json.Int (List.length st.latencies));
-                   ("p50_s", Json.Float (pct 50.0));
-                   ("p90_s", Json.Float (pct 90.0));
-                   ("p99_s", Json.Float (pct 99.0));
-                 ] );
-             ("errors", Json.Obj errors);
-             ("telemetry", Telemetry.to_json ());
-           ]))
-    st.opts.metrics;
-  Option.iter (fun path -> Trace.write_chrome ~path) st.opts.trace;
-  Option.iter (fun path -> Ledger.write ~path) st.opts.ledger
-
-let run ?stop ?(handle_signals = true) opts =
-  let stop =
-    match stop with
-    | Some s -> s
-    | None -> Atomic.make false
+let metrics_json st =
+  let errors =
+    Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.err_counts []
+    |> List.sort compare
   in
-  if handle_signals then begin
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-  end;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  Telemetry.enable (opts.metrics <> None);
-  Trace.enable (opts.trace <> None);
-  Ledger.enable (opts.ledger <> None);
-  Ledger.set_label "serve";
-  (* Open the persistent artifact store before accepting: the daemon's
-     cold start is then warm for anything a previous process (batch or
-     daemon) already compiled, and everything it compiles outlives it. *)
-  (match opts.cache_dir with
-  | None -> ()
-  | Some dir ->
-    Ncdrf_cache.Store.set_ambient
-      (Some
-         (Ncdrf_cache.Store.open_store
-            ~max_bytes:(opts.cache_max_mb * 1024 * 1024)
-            ~dir ())));
+  let kinds =
+    Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.kind_counts []
+    |> List.sort compare
+  in
+  let pct p = match st.latencies with [] -> 0.0 | l -> Stats.percentile p l in
+  Json.Obj
+    [
+      ("schema", Json.String "ncdrf-serve-metrics/1");
+      ("jobs", Json.Int (Pool.jobs st.pool));
+      ("max_inflight", Json.Int st.opts.max_inflight);
+      ("uptime_s", Json.Float (Telemetry.now () -. st.started));
+      ("requests.served", Json.Int st.served);
+      ("requests.shed", Json.Int st.shed);
+      ("requests.inflight", Json.Int st.running);
+      ("requests.queued", Json.Int st.waiting);
+      ("requests.by_kind", Json.Obj kinds);
+      ( "latency",
+        Json.Obj
+          [
+            ("count", Json.Int (List.length st.latencies));
+            ("p50_s", Json.Float (pct 50.0));
+            ("p90_s", Json.Float (pct 90.0));
+            ("p99_s", Json.Float (pct 99.0));
+          ] );
+      ("errors", Json.Obj errors);
+      ("telemetry", Telemetry.to_json ());
+    ]
+
+(* Accept and serve until [stop] flips, then drain; returns the final
+   state for the metrics report. *)
+let serve ~stop opts pool =
   let listen_fd = bind_socket opts.socket_path in
-  let pool = Pool.create ~jobs:opts.jobs () in
   let st =
     {
       opts;
@@ -556,6 +514,27 @@ let run ?stop ?(handle_signals = true) opts =
     Mutex.unlock st.lock
   end;
   List.iter Thread.join !conns;
-  Pool.shutdown pool;
-  publish st;
+  st
+
+let run ?stop ?(handle_signals = true) opts =
+  let stop =
+    match stop with
+    | Some s -> s
+    | None -> Atomic.make false
+  in
+  if handle_signals then begin
+    let on_signal _ = Atomic.set stop true in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
+  end;
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* The session opens the persistent artifact store before the socket
+     accepts: the daemon's cold start is then warm for anything a
+     previous process (batch or daemon) already compiled, and
+     everything it compiles outlives it.  Metrics, trace and ledger are
+     published after the drain, once the pool has quiesced. *)
+  let (_ : state) =
+    Session.run ~announce:false ~metrics:metrics_json ~label:"serve" opts.session
+      (serve ~stop opts)
+  in
   0

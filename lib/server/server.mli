@@ -20,25 +20,21 @@
 
 type opts = {
   socket_path : string;
-  jobs : int;  (** worker-pool size shared by all requests *)
   max_inflight : int;  (** concurrent request execution slots *)
   queue_bound : int;  (** admission queue slots; beyond this, shed *)
   default_timeout_s : float option;
       (** deadline for requests that do not carry their own *)
   drain_grace_s : float;
       (** seconds to let in-flight work finish before cancelling *)
-  metrics : string option;  (** publish final metrics JSON here *)
-  trace : string option;  (** publish a Chrome trace here *)
-  ledger : string option;  (** publish the run ledger here *)
-  cache_dir : string option;
-      (** open the persistent artifact store here at startup, so the
-          daemon cold-starts warm from prior processes' work *)
-  cache_max_mb : int;  (** store size budget in MB; 0 = unlimited *)
+  session : Ncdrf_core.Session.opts;
+      (** the run setup shared with the batch drivers: pool size shared
+          by all requests, fault spec, the persistent store opened at
+          startup (so the daemon cold-starts warm from prior processes'
+          work), and the metrics, trace and ledger published on drain *)
 }
 
-(** Defaults: pool-default jobs, 4 inflight slots, queue bound 8, no
-    default deadline, 5 s drain grace, no observability outputs, no
-    persistent store. *)
+(** Defaults: 4 inflight slots, queue bound 8, no default deadline,
+    5 s drain grace, {!Ncdrf_core.Session.default_opts}. *)
 val default_opts : socket_path:string -> opts
 
 (** [run opts] serves until stopped, then drains and returns the
@@ -46,5 +42,6 @@ val default_opts : socket_path:string -> opts
     flag (polled every 0.2 s) — tests flip it from another thread;
     when [handle_signals] (default true), SIGTERM/SIGINT set it and
     SIGPIPE is ignored.  Raises {!Ncdrf_error.Error.Error} if the
-    socket path is already being served. *)
+    socket path is already being served and
+    {!Ncdrf_core.Session.Setup_failed} if the store cannot be opened. *)
 val run : ?stop:bool Atomic.t -> ?handle_signals:bool -> opts -> int

@@ -17,8 +17,11 @@ type distribution = {
   p99_s : float;
 }
 
-(* Counters are Atomic cells in one global table, created under the
-   lock (creation is rare, increments are lock-free).
+(* Counters are Atomic cells in a copy-on-write table: readers load
+   the current table from an Atomic and never see it mutated, while
+   registration (rare) copies it under the lock, adds the new cell and
+   publishes the copy.  Increments therefore take no lock and cannot
+   race with another domain registering a counter.
 
    Span accumulation is sharded per (domain, thread), the same
    composite key the trace shards and Deadline tokens use: each thread
@@ -33,7 +36,8 @@ type distribution = {
    handler threads have quiesced. *)
 let on = Atomic.make false
 let lock = Mutex.create ()
-let counter_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
+let counter_tbl : (string, int Atomic.t) Hashtbl.t Atomic.t =
+  Atomic.make (Hashtbl.create 16)
 
 type acc = {
   mutable total_s : float;
@@ -72,22 +76,25 @@ let with_lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let counter_cell name =
-  match Hashtbl.find_opt counter_tbl name with
+  match Hashtbl.find_opt (Atomic.get counter_tbl) name with
   | Some c -> c
   | None ->
     with_lock (fun () ->
-        match Hashtbl.find_opt counter_tbl name with
+        let tbl = Atomic.get counter_tbl in
+        match Hashtbl.find_opt tbl name with
         | Some c -> c
         | None ->
           let c = Atomic.make 0 in
-          Hashtbl.add counter_tbl name c;
+          let tbl = Hashtbl.copy tbl in
+          Hashtbl.add tbl name c;
+          Atomic.set counter_tbl tbl;
           c)
 
 let incr ?(by = 1) name =
   if Atomic.get on then ignore (Atomic.fetch_and_add (counter_cell name) by)
 
 let counter name =
-  match Hashtbl.find_opt counter_tbl name with
+  match Hashtbl.find_opt (Atomic.get counter_tbl) name with
   | Some c -> Atomic.get c
   | None -> 0
 
@@ -198,13 +205,12 @@ let distributions () =
       })
 
 let counters () =
-  with_lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, Atomic.get v) :: acc) counter_tbl [])
+  Hashtbl.fold (fun k v acc -> (k, Atomic.get v) :: acc) (Atomic.get counter_tbl) []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
   with_lock (fun () ->
-      Hashtbl.reset counter_tbl;
+      Atomic.set counter_tbl (Hashtbl.create 16);
       List.iter (fun shard -> Hashtbl.reset shard.accs) !span_shards)
 
 let to_json () =

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Tier-1 gate: build everything, run the full test suite, then smoke the
-# user-facing entry points — the quickstart example and a bench run with
-# metrics, checking that the compile cache actually engaged.
+# user-facing entry points — the quickstart example and an `ncdrf bench`
+# run with metrics, checking that the compile cache actually engaged.
 # Any failure here blocks a merge.
 set -eu
 cd "$(dirname "$0")/.."
 dune build
 dune runtest
+NCDRF=./_build/default/bin/ncdrf.exe
 
 # Allocator equivalence: the conflict-engine suite must actually run
 # against the Alloc_reference oracle — a skipped test would silently
@@ -57,7 +58,7 @@ dune exec examples/quickstart.exe > /dev/null
 # which would mean the telemetry or the cache wiring is broken).
 metrics=$(mktemp /tmp/ncdrf-metrics.XXXXXX.json)
 trap 'rm -f "$metrics"' EXIT
-dune exec bench/main.exe -- fig6 --quick --jobs 1 --metrics "$metrics" > /dev/null
+"$NCDRF" bench fig6 --quick --jobs 1 --metrics "$metrics" > /dev/null
 test -s "$metrics" || { echo "check.sh: metrics JSON missing or empty" >&2; exit 1; }
 misses=$(grep -o '"cache.misses": *[0-9]*' "$metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${misses:-}" ] || [ "$misses" -eq 0 ]; then
@@ -83,7 +84,7 @@ fi
 # to the full II search).
 spill_metrics=$(mktemp /tmp/ncdrf-spillrun.XXXXXX.json)
 trap 'rm -f "$metrics" "$spill_metrics"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 --spill-incremental \
+"$NCDRF" bench fig8 --quick --jobs 1 --spill-incremental \
   --metrics "$spill_metrics" > /dev/null
 incs=$(grep -o '"spill.incremental_reschedules": *[0-9]*' "$spill_metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${incs:-}" ] || [ "$incs" -eq 0 ]; then
@@ -148,7 +149,7 @@ trace=$(mktemp /tmp/ncdrf-trace.XXXXXX.json)
 ledger=$(mktemp /tmp/ncdrf-ledger.XXXXXX.jsonl)
 profile_out=$(mktemp /tmp/ncdrf-profile.XXXXXX.txt)
 trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out"' EXIT
-dune exec bench/main.exe -- fig6 --quick --jobs 1 \
+"$NCDRF" bench fig6 --quick --jobs 1 \
   --trace "$trace" --ledger "$ledger" > /dev/null
 events=$(grep -c '"ph": *"[BE]"' "$trace" || true)
 if [ "${events:-0}" -eq 0 ]; then
@@ -168,8 +169,6 @@ grep -q 'slowest points' "$profile_out" || {
 # response (client exit 3), contain injected failures, keep answering
 # health, and still drain cleanly — publishing metrics that show both
 # error classes.
-NCDRF=./_build/default/bin/ncdrf.exe
-dune build bin/ncdrf.exe
 sock_a="/tmp/ncdrf-serve-a.$$.sock"
 sock_b="/tmp/ncdrf-serve-b.$$.sock"
 serve_metrics=$(mktemp /tmp/ncdrf-serve.XXXXXX.json)
@@ -288,9 +287,9 @@ warm_m=$(mktemp /tmp/ncdrf-warm.XXXXXX.json)
 cold_out=$(mktemp /tmp/ncdrf-cold.XXXXXX.txt)
 warm_out=$(mktemp /tmp/ncdrf-warm.XXXXXX.txt)
 trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 \
+"$NCDRF" bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$cold_m" > "$cold_out"
-dune exec bench/main.exe -- fig8 --quick --jobs 1 \
+"$NCDRF" bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$warm_m" > "$warm_out"
 disk_hits=$(grep -o '"cache.disk_hits": *[0-9]*' "$warm_m" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${disk_hits:-}" ] || [ "$disk_hits" -eq 0 ]; then

@@ -18,4 +18,5 @@ let () =
       ("sim", Test_sim.suite);
       ("kcluster", Test_kcluster.suite);
       ("server", Test_server.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -1,14 +1,13 @@
 (* The serving layer: total codec (qcheck round-trip plus malformed
    frames that must come back as typed errors, never exceptions), the
    shared renderers behind the batch/client byte-identity invariant,
-   deadline tokens and the monotonic budget clock, and an in-process
+   deadline tokens and their monotonic clock, and an in-process
    daemon exercised over a real Unix socket: health, scheduling,
    fault containment, per-request deadlines, and a clean drain. *)
 
 open Ncdrf_machine
 open Ncdrf_core
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
 module Deadline = Ncdrf_error.Deadline
 module Failures = Ncdrf_error.Failures
 module Fault = Ncdrf_fault.Fault
@@ -307,19 +306,19 @@ let test_renderers () =
     (String.length summary > 0 && contains ~affix:"injected" summary)
 
 (* ------------------------------------------------------------------ *)
-(* Budget clock and deadline tokens.                                   *)
+(* Deadline clock and tokens.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Pins the wall-metering clock source: Budget.now must be the
-   monotonic telemetry clock, never Unix.gettimeofday — a step of the
-   wall clock (NTP, DST) must not expire every in-flight deadline. *)
-let test_budget_clock_is_monotonic () =
-  let b = Budget.now () in
+(* Pins the deadline clock source: Deadline.now must be the monotonic
+   telemetry clock, never Unix.gettimeofday — a step of the wall clock
+   (NTP, DST) must not expire every in-flight deadline. *)
+let test_deadline_clock_is_monotonic () =
+  let d = Deadline.now () in
   let t = Telemetry.now () in
-  check_bool "Budget.now ticks with Telemetry.now (monotonic)" true
-    (Float.abs (b -. t) < 0.5);
+  check_bool "Deadline.now ticks with Telemetry.now (monotonic)" true
+    (Float.abs (d -. t) < 0.5);
   let wall = Unix.gettimeofday () in
-  check_bool "Budget.now is not the wall clock" true (Float.abs (b -. wall) > 1e6)
+  check_bool "Deadline.now is not the wall clock" true (Float.abs (d -. wall) > 1e6)
 
 let test_deadline_tokens () =
   let tok = Deadline.make () in
@@ -386,7 +385,11 @@ let with_daemon ?(configure = fun o -> o) f =
   in
   (try Sys.remove path with Sys_error _ -> ());
   let stop = Atomic.make false in
-  let opts = configure { (Server.default_opts ~socket_path:path) with jobs = 1 } in
+  let opts =
+    configure
+      { (Server.default_opts ~socket_path:path) with
+        session = { Session.default_opts with jobs = 1 } }
+  in
   let code = ref (-1) in
   let srv = Thread.create (fun () -> code := Server.run ~stop ~handle_signals:false opts) () in
   Fun.protect
@@ -617,9 +620,9 @@ let observed_run ~tag ~concurrent kinds =
       {
         o with
         max_inflight = 4;
-        metrics = Some metrics;
-        trace = Some trace;
-        ledger = Some ledger;
+        session =
+          { o.session with
+            metrics = Some metrics; trace = Some trace; ledger = Some ledger };
       })
     (fun path ->
       let issue i kind =
@@ -760,7 +763,7 @@ let suite =
     Alcotest.test_case "malformed frames are typed errors" `Quick test_malformed_frames;
     Alcotest.test_case "frame id recovery" `Quick test_frame_id_recovery;
     Alcotest.test_case "shared renderers" `Quick test_renderers;
-    Alcotest.test_case "budget clock is monotonic" `Quick test_budget_clock_is_monotonic;
+    Alcotest.test_case "deadline clock is monotonic" `Quick test_deadline_clock_is_monotonic;
     Alcotest.test_case "deadline tokens" `Quick test_deadline_tokens;
     Alcotest.test_case "suite --timeout" `Quick test_suite_timeout;
     Alcotest.test_case "daemon roundtrip + containment" `Quick test_daemon_roundtrip;

@@ -292,6 +292,41 @@ let test_trace_jobs_invariant () =
       check_bool "--jobs 2 emits the same event multiset as --jobs 1" true
         (serial = parallel))
 
+(* Counter registration races increments: every domain keeps creating
+   fresh counters (so the table grows and is republished) while the
+   others bump theirs and one shared counter.  Every total must come
+   out exact — no lost cell, no lost increment. *)
+let test_concurrent_counter_registration () =
+  Telemetry.enable true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.enable false;
+      Telemetry.reset ())
+  @@ fun () ->
+  Telemetry.reset ();
+  let domains = 4 and names = 200 and bumps = 5 in
+  let name d i = Printf.sprintf "race.d%d.c%d" d i in
+  let work d () =
+    for i = 0 to names - 1 do
+      for _ = 1 to bumps do
+        Telemetry.incr (name d i);
+        Telemetry.incr "race.shared"
+      done
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (work d)));
+  for d = 0 to domains - 1 do
+    for i = 0 to names - 1 do
+      check_int (name d i) bumps (Telemetry.counter (name d i))
+    done
+  done;
+  check_int "shared counter" (domains * names * bumps) (Telemetry.counter "race.shared");
+  check_int "every counter listed" ((domains * names) + 1)
+    (List.length
+       (List.filter
+          (fun (k, _) -> String.length k > 5 && String.sub k 0 5 = "race.")
+          (Telemetry.counters ())))
+
 (* Two systhreads on one domain: the (domain, thread)-keyed registries
    keep span samples and trace events apart — under the old
    domain-keyed scheme both threads shared one shard, so their B/E
@@ -555,6 +590,8 @@ let suite =
       test_trace_chrome_document;
     Alcotest.test_case "trace events invariant under --jobs" `Quick
       test_trace_jobs_invariant;
+    Alcotest.test_case "counter registration is race-free" `Quick
+      test_concurrent_counter_registration;
     Alcotest.test_case "two systhreads keep shards apart" `Quick
       test_two_systhreads_do_not_interleave;
     Alcotest.test_case "ledger record round-trips" `Quick test_ledger_record_roundtrip;
