@@ -12,7 +12,18 @@
     the per-cluster MaxLive lower bound, because running the full
     allocator inside the search loop would be too costly — and stop when
     no pair improves it.  The [Exact] estimate (full allocation) is
-    provided as an ablation. *)
+    provided as an ablation.
+
+    The MaxLive estimate is scored incrementally.  A swap moves
+    clusters, never cycles, so the lifetimes and each value's
+    per-kernel-slot footprint are computed once per {!improve} call;
+    pricing a pair re-homes only the values the two operations produce
+    or read, rescans the two clusters' slot rows and undoes the move.
+    Both estimates run through one greedy loop, which accepts a strict
+    improvement only and takes the first of equal-cost pairs in
+    ascending [(a, b)] order, so the swaps taken are those of the
+    whole-recompute pass kept as the test oracle
+    [test/swap_reference.ml]. *)
 
 open Ncdrf_sched
 
@@ -26,8 +37,11 @@ type stats = {
   final_cost : int;  (** estimate after the pass *)
 }
 
-(** All swappable pairs of the schedule: distinct clusters, same
-    functional-unit class, same kernel slot. *)
+(** All swappable pairs of the schedule, in ascending [(a, b)] order:
+    distinct clusters, same functional-unit class, same kernel slot.
+    A swap keeps every class and slot but changes which pairs cross
+    clusters, so the set is only valid for the schedule it was taken
+    from. *)
 val candidates : Schedule.t -> (int * int) list
 
 (** Run the greedy pass.  Single-cluster schedules are returned

@@ -26,11 +26,11 @@
     II+1, the paper's first alternative, as a documented safety valve.
 
     At {!default_policy} the loop is byte-identical to the verbatim
-    pre-optimization spiller kept as {!Spiller_reference}
-    (test/test_spill.ml pins the equivalence); the compounding
-    optimizations — incremental rescheduling, batched victims — opt in
-    through {!policy} and may diverge (characterized in
-    EXPERIMENTS.md). *)
+    pre-optimization spiller kept as the test oracle
+    [test/spiller_reference.ml] (test/test_spill.ml pins the
+    equivalence); the compounding optimizations — incremental
+    rescheduling, batched victims — opt in through {!policy} and may
+    diverge (characterized in EXPERIMENTS.md). *)
 
 open Ncdrf_ir
 open Ncdrf_machine

@@ -10,8 +10,9 @@ dune runtest
 NCDRF=./_build/default/bin/ncdrf.exe
 
 # Allocator equivalence: the conflict-engine suite must actually run
-# against the Alloc_reference oracle — a skipped test would silently
-# void the byte-identity guarantee the rewrite rests on.
+# against the Alloc_reference oracle (test/alloc_reference.ml) — a
+# skipped test would silently void the byte-identity guarantee the
+# rewrite rests on.
 equiv_out=$(mktemp /tmp/ncdrf-equiv.XXXXXX.txt)
 dune exec test/test_main.exe -- test conflict > "$equiv_out" 2>&1 || {
   cat "$equiv_out" >&2; rm -f "$equiv_out"; exit 1; }
@@ -30,7 +31,8 @@ fi
 rm -f "$equiv_out"
 
 # Spiller equivalence: same deal for the spill suite, which pins the
-# rewritten spill loop to the verbatim Spiller_reference oracle (qcheck
+# rewritten spill loop to the verbatim Spiller_reference oracle
+# (test/spiller_reference.ml; qcheck
 # byte-identity at the default policy plus a fixed-seed digest of the
 # opt-in incremental mode).  A skip here would void that guarantee too.
 spill_out=$(mktemp /tmp/ncdrf-spill-suite.XXXXXX.txt)
@@ -49,6 +51,28 @@ if sed 's/.\[[0-9;]*m//g' "$spill_out" | grep '\[SKIP\]' | awk '{print $2}' \
   exit 1
 fi
 rm -f "$spill_out"
+
+# Swap equivalence: the swap suite pins the delta-scored greedy pass to
+# the whole-recompute Swap_reference oracle (test/swap_reference.ml):
+# qcheck over k = 2..4 at both latencies for both estimates, the cost
+# after every accepted swap, the k >= 3 Shared classes, the hand-built
+# bucket whose pair set changes under swapping, and a fixed-seed digest.
+swap_out=$(mktemp /tmp/ncdrf-swap-suite.XXXXXX.txt)
+dune exec test/test_main.exe -- test swap > "$swap_out" 2>&1 || {
+  cat "$swap_out" >&2; rm -f "$swap_out"; exit 1; }
+ok=$(grep -c 'OK.*swap' "$swap_out" || true)
+if [ "${ok:-0}" -lt 6 ]; then
+  echo "check.sh: expected 6 swap equivalence tests to run, got $ok" >&2
+  rm -f "$swap_out"
+  exit 1
+fi
+if sed 's/.\[[0-9;]*m//g' "$swap_out" | grep '\[SKIP\]' | awk '{print $2}' \
+    | grep -qx 'swap'; then
+  echo "check.sh: swap equivalence tests were skipped" >&2
+  rm -f "$swap_out"
+  exit 1
+fi
+rm -f "$swap_out"
 
 # The quickstart example must keep running end to end.
 dune exec examples/quickstart.exe > /dev/null

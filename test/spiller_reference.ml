@@ -7,6 +7,7 @@
 open Ncdrf_ir
 open Ncdrf_sched
 open Ncdrf_regalloc
+open Ncdrf_spill
 module Error = Ncdrf_error.Error
 module Fault = Ncdrf_fault.Fault
 module Trace = Ncdrf_telemetry.Trace

@@ -14,6 +14,7 @@
 open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
+open Ncdrf_spill
 
 type victim = Spiller.victim =
   | Longest_lifetime

@@ -1,8 +1,8 @@
 (* The command line, driven through the built ncdrf executable: flag
    values out of range and setup that cannot succeed are usage errors
    (exit 2, one diagnostic on stderr) in every command, never an
-   uncaught exception, and `ncdrf bench example` still prints the
-   paper's worked-example tables byte for byte. *)
+   uncaught exception, and `ncdrf bench example` and the quick figure
+   runs still print the paper's tables byte for byte. *)
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -92,6 +92,19 @@ let test_bench_example_golden () =
   let expected = read_file (Filename.concat here "bench_example.expected") in
   check_string "worked-example tables" expected out
 
+(* The paper's figures end to end: Swapped at k = 2, 3 and 4, under
+   spilling, and the MaxLive-vs-exact swap-estimate ablation, pinned to
+   the output of the whole-recompute swap pass. *)
+let test_bench_figures_golden () =
+  let code, out, _ =
+    run
+      [ "bench"; "fig6"; "fig7"; "fig8"; "fig9"; "ablation"; "cluster-sweep"; "--quick";
+        "--jobs"; "1" ]
+  in
+  check_int "exit code" 0 code;
+  let expected = read_file (Filename.concat here "figs_quick.expected") in
+  check_string "figures 6-9, ablation, cluster sweep" expected out
+
 (* One meaning of --clusters 1 across commands: Config.of_spec's
    unified machine (the dual's resources in one file). *)
 let test_bench_one_cluster_is_unified () =
@@ -109,4 +122,5 @@ let suite =
     Alcotest.test_case "bench example output is unchanged" `Quick test_bench_example_golden;
     Alcotest.test_case "bench --clusters 1 is the unified machine" `Quick
       test_bench_one_cluster_is_unified;
+    Alcotest.test_case "bench figures output is unchanged" `Quick test_bench_figures_golden;
   ]
