@@ -210,50 +210,30 @@ let scheduled ~config ddg =
   { ddg; config; mii = mii ~config ddg; raw = raw_schedule ~config ddg }
 
 let apply_model model sched =
+  let alloc f = Telemetry.time "alloc" f in
   match model with
   | Model.Ideal | Model.Unified ->
-    (sched, Telemetry.time "alloc" (fun () -> Requirements.unified sched))
+    { sched; requirement = alloc (fun () -> Requirements.unified sched); swaps = 0 }
   | Model.Partitioned ->
-    ( sched,
-      Telemetry.time "alloc" (fun () ->
-          (Requirements.partitioned sched).Requirements.requirement) )
+    { sched;
+      requirement = alloc (fun () -> (Requirements.partitioned sched).Requirements.requirement);
+      swaps = 0 }
   | Model.Swapped ->
-    let swapped, _ = Telemetry.time "swap" (fun () -> Swap.improve sched) in
-    ( swapped,
-      Telemetry.time "alloc" (fun () ->
-          (Requirements.partitioned swapped).Requirements.requirement) )
-
-let count_swaps model before after =
-  match model with
-  | Model.Swapped ->
-    (* A swap exchanges the clusters of two operations, so the swaps
-       applied are the pairs of nodes that moved in opposite directions
-       between the same two clusters.  A one-sided migration (a node
-       whose move has no partner) is not half a swap: pair the moves
-       per cluster pair instead of dividing the total, which would
-       silently truncate on odd counts. *)
-    let n = Ddg.num_nodes before.Schedule.ddg in
-    let moves : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-    for v = 0 to n - 1 do
-      let b = Schedule.cluster before v and a = Schedule.cluster after v in
-      if b <> a then
-        Hashtbl.replace moves (b, a)
-          (1 + Option.value ~default:0 (Hashtbl.find_opt moves (b, a)))
-    done;
-    Hashtbl.fold
-      (fun (b, a) count acc ->
-        if b < a then
-          acc + min count (Option.value ~default:0 (Hashtbl.find_opt moves (a, b)))
-        else acc)
-      moves 0
-  | Model.Ideal | Model.Unified | Model.Partitioned -> 0
+    let swapped, stats = Telemetry.time "swap" (fun () -> Swap.improve sched) in
+    { sched = swapped;
+      requirement =
+        alloc (fun () -> (Requirements.partitioned swapped).Requirements.requirement);
+      swaps = stats.Swap.swaps }
 
 (* Ideal and Unified apply the same transform (no transform, unified
-   allocation), so they share one view entry. *)
+   allocation), so they share one view entry.  The swapped tag names the
+   swap count it stores: "swapped" entries, written before views kept
+   [Swap.improve]'s applied count, hold an undercounted placement-diff
+   figure and must not be read back. *)
 let view_tag = function
   | Model.Ideal | Model.Unified -> "unified"
   | Model.Partitioned -> "partitioned"
-  | Model.Swapped -> "swapped"
+  | Model.Swapped -> "swapped-applied"
 
 (* A view's input is the schedule, not just the graph: the spiller calls
    it on schedules of intermediate graphs at bumped IIs, so the key
@@ -279,8 +259,7 @@ let view_of_schedule ~model sched =
   stage_boundary ~stage:"alloc" ~config:sched.Schedule.config ddg @@ fun () ->
   let compute () =
     Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
-    let transformed, requirement = apply_model model sched in
-    View_of { sched = transformed; requirement; swaps = count_swaps model sched transformed }
+    View_of (apply_model model sched)
   in
   match
     memo ~loop:(Ddg.name ddg)

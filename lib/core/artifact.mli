@@ -62,7 +62,7 @@ type t = private {
 type view = {
   sched : Schedule.t;  (** transformed schedule (swapped for [Swapped]) *)
   requirement : int;  (** registers (per subfile for the dual models) *)
-  swaps : int;  (** exchanged pairs versus the raw schedule *)
+  swaps : int;  (** swaps {!Swap.improve} applied ([Swapped] only) *)
 }
 
 (** MII of the graph (cached). *)
@@ -87,17 +87,11 @@ val view_of_schedule : model:Model.t -> Schedule.t -> view
     [(config, ddg, min_ii)]. *)
 val spill_schedule : config:Config.t -> min_ii:int -> Ddg.t -> Schedule.t
 
-(** The model's transform on a fixed schedule, uncached: returns the
-    (possibly swapped) schedule and its register requirement.  [Ideal]
-    reports the unified requirement but never fails to fit. *)
-val apply_model : Model.t -> Schedule.t -> Schedule.t * int
-
-(** Swaps applied between two schedules of the same graph, for the
-    [Swapped] model: pairs of nodes that exchanged clusters (moves in
-    opposite directions between the same two clusters, paired up).
-    One-sided migrations are not swaps and are not counted.  Other
-    models report 0. *)
-val count_swaps : Model.t -> Schedule.t -> Schedule.t -> int
+(** The model's transform on a fixed schedule, uncached: the (possibly
+    swapped) schedule, its register requirement and the swaps
+    {!Swap.improve} applied.  [Ideal] reports the unified requirement
+    but never fails to fit. *)
+val apply_model : Model.t -> Schedule.t -> view
 
 (** {2 Cache control} *)
 

@@ -28,9 +28,6 @@ type stats = {
   error : Ncdrf_error.Error.t option;
 }
 
-let requirement_of_model = Artifact.apply_model
-let count_swaps = Artifact.count_swaps
-
 (* Config fingerprints embed NUL-separated binary structure; the ledger
    carries the display name plus a short digest for identity. *)
 let short_fingerprint config =
@@ -222,11 +219,10 @@ let run ~config ~model ?capacity ?victim ?(spill = Spiller.default_policy) ddg =
     in
     Telemetry.incr ~by:outcome.Spiller.spilled "pipeline.spilled";
     Telemetry.incr ~by:outcome.Spiller.ii_bumps "pipeline.ii_bumps";
-    (* Swaps are counted against the final round's pre-transform
-       schedule, which the spiller now threads out — counting the final
-       schedule against itself reported 0 for every capacity run. *)
+    (* The swaps applied are those of the final round's view, which the
+       spiller's requirement callback already memoized. *)
     let swaps =
-      Artifact.count_swaps model outcome.Spiller.raw_schedule outcome.Spiller.schedule
+      (Artifact.view_of_schedule ~model outcome.Spiller.raw_schedule).Artifact.swaps
     in
     if Trace.active () then begin
       Trace.set_result

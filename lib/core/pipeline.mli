@@ -82,20 +82,6 @@ val observe :
   (unit -> 'a) ->
   'a
 
-(** The model's requirement function on a fixed schedule (uncached;
-    alias of {!Artifact.apply_model}): returns the (possibly swapped)
-    schedule and its register requirement.  [Ideal] reports the unified
-    requirement but never fails to fit. *)
-val requirement_of_model :
-  Model.t -> Schedule.t -> Schedule.t * int
-
-(** Swaps applied between two schedules of the same graph, for the
-    [Swapped] model (alias of {!Artifact.count_swaps}): pairs of nodes
-    that exchanged clusters (moves in opposite directions between the
-    same two clusters, paired up).  One-sided migrations are not swaps
-    and are not counted.  Other models report 0. *)
-val count_swaps : Model.t -> Schedule.t -> Schedule.t -> int
-
 (** [run ~config ~model ?capacity ddg] compiles the loop.  Without
     [capacity], registers are unlimited (the paper's Section 5.3
     measurement).  With [capacity], the spiller runs for every model

@@ -36,7 +36,6 @@ val map :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   f:(workload -> 'a) ->
   workload list ->
   'a list
@@ -64,16 +63,15 @@ val map :
     [timeout_s] gives each point its own wall deadline (the [--timeout]
     flag): an over-budget point raises the typed
     [Error.Deadline_exceeded], which [failures] records like any other
-    category.  [deadline] instead installs one {e shared}
-    {!Ncdrf_error.Deadline.token} around every point — the serving
-    daemon passes its per-request token here so the request's deadline
-    and drain-cancellation reach pool workers on other domains.  The
-    two compose (whichever constraint fires first wins). *)
+    category.  Every point also runs under the caller's ambient
+    {!Ncdrf_error.Deadline} tokens — [pool] carries them to its worker
+    domains with the request id — so a serving daemon's per-request
+    deadline and drain-cancellation bound the whole sweep.  The two
+    compose (whichever constraint fires first wins). *)
 val measure_all :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   config:Config.t ->
   models:Model.t list ->
   workload list ->
@@ -84,7 +82,6 @@ val measure :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   config:Config.t -> model:Model.t -> workload list -> measurement list
 
 (** Static cumulative distribution: fraction (in percent) of loops whose
@@ -123,7 +120,7 @@ type performance = {
     stays in the aggregates and is counted in [unfit], with the
     divergence detail on [Pipeline.stats.error].
 
-    [timeout_s] / [deadline] bound each point exactly as in
+    [timeout_s] and the ambient tokens bound each point exactly as in
     {!measure_all}.
 
     [spill] selects the spill-loop strategy passed through to
@@ -132,6 +129,5 @@ val performance :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   ?spill:Ncdrf_spill.Spiller.policy ->
   config:Config.t -> model:Model.t -> capacity:int -> workload list -> performance

@@ -1,83 +1,52 @@
-(* Ambient per-request deadlines and cancellation.
+(* Ambient per-request deadlines and cooperative cancellation.
 
    A token is immutable except for its cancellation flag, so one token
    can be shared across every thread and pool-worker domain touching a
-   request.  The ambient installation is keyed by (domain, thread):
-   systhreads in the serving daemon all run on domain 0 and would
-   trample a Domain.DLS slot, while pool workers are separate domains —
-   the composite key covers both.  Each key holds a *stack* of tokens
-   so scopes nest with min-deadline / any-cancel semantics (a per-point
-   [--timeout] inside a per-request deadline honors whichever is
-   tighter). *)
+   request.  The token's data type and the per-thread stack that
+   installs it live in the calling thread's [Trace] record — the one
+   (domain, thread)-keyed registry, found without a lock once the
+   thread is registered.  The stack makes scopes nest with
+   min-deadline / any-cancel semantics (a per-point [--timeout] inside
+   a per-request deadline honors whichever is tighter), and it is part
+   of the request scope [Pool] carries to worker domains. *)
+
+module Trace = Ncdrf_telemetry.Trace
 
 (* Monotonic, not wall time: a long-running daemon's deadlines must not
    fire (or fail to fire) because NTP stepped the system clock. *)
 let now () = Ncdrf_telemetry.Telemetry.now ()
 
-type token = {
-  deadline : float option;  (* absolute, monotonic seconds ([now]) *)
-  timeout_s : float option;  (* the original relative budget, for messages *)
-  canceled : bool Atomic.t;
-  mutable cancel_reason : string;
-}
+type token = Trace.token
 
 let make ?timeout_s () =
   {
-    deadline = Option.map (fun s -> now () +. s) timeout_s;
+    Trace.deadline = Option.map (fun s -> now () +. s) timeout_s;
     timeout_s;
     canceled = Atomic.make false;
     cancel_reason = "canceled";
   }
 
-let cancel ?(reason = "canceled") t =
+let cancel ?(reason = "canceled") (t : token) =
   t.cancel_reason <- reason;
   Atomic.set t.canceled true
 
-let canceled t = Atomic.get t.canceled
+let canceled (t : token) = Atomic.get t.canceled
 
-let expired t =
+let expired (t : token) =
   match t.deadline with None -> false | Some d -> now () > d
 
-let time_left t =
+let time_left (t : token) =
   match t.deadline with None -> infinity | Some d -> d -. now ()
 
-(* (domain id, thread id) -> installed token stack, innermost first.
-   The mutex is uncontended in batch mode and taken only at scope
-   entry/exit plus explicit checks, which sit at stage boundaries —
-   far off the placement hot path. *)
-let lock = Mutex.create ()
-let table : (int * int, token list) Hashtbl.t = Hashtbl.create 16
-
-let key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
-let current_stack () =
-  let k = key () in
-  Mutex.lock lock;
-  let s = Option.value ~default:[] (Hashtbl.find_opt table k) in
-  Mutex.unlock lock;
-  s
-
-let active () = current_stack () <> []
-
-let with_token tok f =
-  let k = key () in
-  Mutex.lock lock;
-  let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
-  Hashtbl.replace table k (tok :: prev);
-  Mutex.unlock lock;
-  let restore () =
-    Mutex.lock lock;
-    if prev = [] then Hashtbl.remove table k else Hashtbl.replace table k prev;
-    Mutex.unlock lock
-  in
-  Fun.protect ~finally:restore f
+let active () = Trace.tokens () <> []
+let with_token tok f = Trace.with_tokens (tok :: Trace.tokens ()) f
 
 let with_timeout ?timeout_s f =
   match timeout_s with
   | None -> f ()
   | Some _ -> with_token (make ?timeout_s ()) f
 
-let violation tok =
+let violation (tok : token) =
   if Atomic.get tok.canceled then
     Some (Error.Canceled, tok.cancel_reason)
   else if expired tok then
@@ -90,7 +59,7 @@ let violation tok =
   else None
 
 let check ~stage =
-  match current_stack () with
+  match Trace.tokens () with
   | [] -> ()
   | stack ->
     (match List.find_map violation stack with

@@ -14,10 +14,14 @@
 
     Scopes nest: an inner token does not shadow an outer one — {!check}
     honors whichever constraint fires first (min-deadline, any-cancel).
-    Installation is per (domain, thread), so concurrent daemon requests
-    on sibling systhreads and pool workers on other domains never see
-    each other's tokens; sharing one token across threads is the
-    intended way to bound a fanned-out request. *)
+    The token stack is part of the calling thread's request scope, kept
+    in its [Ncdrf_telemetry.Trace] record next to the request id: it
+    is per (domain, thread), so concurrent daemon requests on sibling
+    systhreads never see each other's tokens, and
+    [Ncdrf_parallel.Pool] carries it (with the id) to the worker
+    domains that run a request's jobs, so a fanned-out request is
+    bounded by its own tokens everywhere.  On a registered thread
+    {!active}, {!with_token} and {!check} take no lock. *)
 
 (** The clock deadlines read: the {e monotonic} clock
     ([Telemetry.now], CLOCK_MONOTONIC), never [Unix.gettimeofday] — an

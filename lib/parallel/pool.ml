@@ -95,10 +95,11 @@ let generic_map t outcome xs =
   if n = 0 then []
   else if is_serial t then List.map outcome (Array.to_list arr)
   else begin
-    (* Capture the submitting thread's ambient request id so work
-       stolen by pool workers (different threads, so a different
-       observability shard) is still attributed to the daemon request
-       that submitted it.  Identity outside any request. *)
+    (* Capture the submitting thread's request scope (request id and
+       deadline tokens) so work run by pool workers (different threads,
+       so a different per-thread record) is still attributed to, and
+       bounded by, the daemon request that submitted it.  Identity
+       outside any request. *)
     let wrap = Ncdrf_telemetry.Trace.inherit_request () in
     let results = Array.make n None in
     let remaining = ref n in

@@ -50,11 +50,13 @@ exception
     Raises {!Worker_failure} if any item raised; [label] (default a
     positional ["item %d"]) names the culprits.
 
-    The submitting thread's ambient request id
-    ([Ncdrf_telemetry.Trace.with_request]) is captured at submission
+    The submitting thread's request scope — its ambient request id
+    ([Ncdrf_telemetry.Trace.with_request]) and deadline tokens
+    ([Ncdrf_error.Deadline.with_token]) — is captured at submission
     and re-installed around every job, so trace events, span samples
     and ledger records produced by pool workers stay attributed to the
-    daemon request that submitted the map. *)
+    daemon request that submitted the map, and its deadline and
+    cancellation reach every job. *)
 val map : t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Like {!map} but returns per-item outcomes instead of raising:

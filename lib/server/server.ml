@@ -40,12 +40,14 @@ let default_opts ~socket_path =
   }
 
 (* Requests execute concurrently up to [opts.max_inflight]: trace
-   context, span accumulation and deadline tokens are all sharded per
-   (domain, thread), so interleaved request executions on connection
-   systhreads keep their observability state apart, and every record is
-   stamped with the request id via [Trace.with_request].  Admission
-   control in front of the slots is what gives overload a typed answer
-   instead of an unbounded queue. *)
+   context, span accumulation and deadline tokens all live in one
+   per-(domain, thread) record, so interleaved request executions on
+   connection systhreads keep their state apart.  A request's scope —
+   its id ([Trace.with_request]) and deadline token
+   ([Deadline.with_token]) — is installed once on the connection
+   thread, and the pool carries both to the worker domains that run
+   its jobs.  Admission control in front of the slots is what gives
+   overload a typed answer instead of an unbounded queue. *)
 type state = {
   opts : opts;
   pool : Pool.t;
@@ -160,7 +162,7 @@ let execute_schedule ~workload ~only ~spec ~model ~capacity ~spill_batch
   in
   Protocol.Scheduled { machine = Format.asprintf "%a" Config.pp config; points }
 
-let execute_suite st ~deadline ~spec ~size ~registers =
+let execute_suite st ~spec ~size ~registers =
   let config = build_config spec in
   let loops =
     List.map
@@ -173,7 +175,7 @@ let execute_suite st ~deadline ~spec ~size ~registers =
       (fun (model, ms) ->
         let static_pct, dynamic_pct = Suite_stats.allocatable ms ~r:registers in
         (model, static_pct, dynamic_pct))
-      (Suite_stats.measure_all ~pool:st.pool ~failures ~deadline ~config
+      (Suite_stats.measure_all ~pool:st.pool ~failures ~config
          ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
          loops)
   in
@@ -240,7 +242,7 @@ let execute st (req : Protocol.request) tok =
   let result =
     (* Every trace event, span sample and ledger record below — on this
        thread and on pool workers it submits to — carries the request
-       id. *)
+       id, and every stage boundary there polls the request's token. *)
     Trace.with_request ~id:req.Protocol.id @@ fun () ->
     Error.protect ~stage:"request" ~loop:req.Protocol.id (fun () ->
         Pipeline.observe ~loop:req.Protocol.id
@@ -263,7 +265,7 @@ let execute st (req : Protocol.request) tok =
                       execute_schedule ~workload ~only ~spec ~model ~capacity
                         ~spill_batch ~spill_incremental ~show_kernel
                     | Protocol.Suite { spec; size; registers } ->
-                      execute_suite st ~deadline:tok ~spec ~size ~registers
+                      execute_suite st ~spec ~size ~registers
                     | Protocol.Health | Protocol.Stats ->
                       Protocol.Health_report (health_snapshot st)))))
   in

@@ -4,14 +4,14 @@
     One JSONL request per line (see {!Protocol}); scheduling and suite
     requests are admitted through a bounded queue in front of
     [max_inflight] concurrent execution slots — safe because trace,
-    span and deadline state is sharded per (domain, thread) and every
-    record a request produces (on its connection systhread or on pool
-    workers it submits to) is stamped with the request id via
-    [Ncdrf_telemetry.Trace.with_request].  Overload is
-    answered with a typed [Overloaded] response carrying a retry hint,
-    never an unbounded queue; per-request deadlines and drain
-    cancellation flow through {!Ncdrf_error.Deadline} tokens into pool
-    workers; any failure a request provokes — parse errors, infeasible
+    span and deadline state lives in one per-(domain, thread) record
+    and a request's scope (its id via
+    [Ncdrf_telemetry.Trace.with_request] and its
+    {!Ncdrf_error.Deadline} token) follows its work onto the pool
+    workers it submits to.  Overload is answered with a typed
+    [Overloaded] response carrying a retry hint, never an unbounded
+    queue; per-request deadlines and drain cancellation reach pool
+    workers through that scope; any failure a request provokes — parse errors, infeasible
     schedules, injected faults, expiry — becomes a typed [Failed]
     response and never kills the daemon.  On SIGTERM/SIGINT the daemon
     stops accepting, lets in-flight work finish within a grace window,

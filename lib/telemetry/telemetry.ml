@@ -23,50 +23,18 @@ type distribution = {
    publishes the copy.  Increments therefore take no lock and cannot
    race with another domain registering a counter.
 
-   Span accumulation is sharded per (domain, thread), the same
-   composite key the trace shards and Deadline tokens use: each thread
-   owns a table of accumulators (sums plus the raw samples, for
-   percentiles) keyed by (request id, span name), so concurrent
-   connection-handler systhreads on domain 0 never mutate one
-   accumulator concurrently, and samples stay attributable to the
-   request that produced them.  Recording takes the lock only for the
-   shard lookup (not for the accumulator update); [spans] and
-   [distributions] merge the shards — across requests — at read time.
-   Like the trace rings, readers must run after worker domains and
-   handler threads have quiesced. *)
+   Span accumulators live in each thread's {!Trace} record, keyed by
+   (request id, span name): concurrent connection-handler systhreads
+   never mutate one accumulator concurrently, samples stay attributable
+   to the request that produced them, and a registered thread records
+   without a lock.  [spans] and [distributions] merge the per-thread
+   tables — across requests — at read time; like the trace rings,
+   readers must run after worker domains and handler threads have
+   quiesced. *)
 let on = Atomic.make false
 let lock = Mutex.create ()
 let counter_tbl : (string, int Atomic.t) Hashtbl.t Atomic.t =
   Atomic.make (Hashtbl.create 16)
-
-type acc = {
-  mutable total_s : float;
-  mutable count : int;
-  mutable max_s : float;
-  mutable samples : float array;
-  mutable n_samples : int;
-}
-
-(* accs keyed by (request id, span name); "" = outside any request *)
-type span_shard = { accs : (string * string, acc) Hashtbl.t }
-
-let span_table : (int * int, span_shard) Hashtbl.t = Hashtbl.create 16
-let span_shards : span_shard list ref = ref []
-
-let my_span_shard () =
-  let k = ((Domain.self () :> int), Thread.id (Thread.self ())) in
-  Mutex.lock lock;
-  let s =
-    match Hashtbl.find_opt span_table k with
-    | Some s -> s
-    | None ->
-      let s = { accs = Hashtbl.create 16 } in
-      Hashtbl.add span_table k s;
-      span_shards := s :: !span_shards;
-      s
-  in
-  Mutex.unlock lock;
-  s
 
 let enable b = Atomic.set on b
 let enabled () = Atomic.get on
@@ -100,19 +68,8 @@ let counter name =
 
 let record_span name seconds =
   if Atomic.get on then begin
-    let shard = my_span_shard () in
-    let key = (Trace.current_request (), name) in
-    let a =
-      match Hashtbl.find_opt shard.accs key with
-      | Some a -> a
-      | None ->
-        let a =
-          { total_s = 0.0; count = 0; max_s = 0.0; samples = Array.make 16 0.0; n_samples = 0 }
-        in
-        Hashtbl.add shard.accs key a;
-        a
-    in
-    a.total_s <- a.total_s +. seconds;
+    let a = Trace.span_acc name in
+    a.Trace.total_s <- a.total_s +. seconds;
     a.count <- a.count + 1;
     if seconds > a.max_s then a.max_s <- seconds;
     (if a.n_samples = Array.length a.samples then begin
@@ -142,18 +99,15 @@ let time name f =
       f
   end
 
-let all_span_shards () =
-  with_lock (fun () -> !span_shards)
-
-(* Merge shard accumulators under a caller-chosen key projection:
+(* Merge the per-thread accumulators under a caller-chosen key projection:
    [fst] of the (request, name) acc key for per-request views, [snd]
    for the classic per-name views (requests collapsed). *)
 let merged_accs_by key_of =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun shard ->
+    (fun accs ->
       Hashtbl.iter
-        (fun key a ->
+        (fun key (a : Trace.acc) ->
           let key = key_of key in
           let prev_span, prev_samples =
             Option.value
@@ -170,8 +124,8 @@ let merged_accs_by key_of =
                 max_s = Float.max prev_span.max_s a.max_s;
               },
               samples ))
-        shard.accs)
-    (all_span_shards ());
+        accs)
+    (Trace.span_tables ());
   tbl
 
 let merged_accs () = merged_accs_by snd
@@ -209,9 +163,8 @@ let counters () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
-  with_lock (fun () ->
-      Atomic.set counter_tbl (Hashtbl.create 16);
-      List.iter (fun shard -> Hashtbl.reset shard.accs) !span_shards)
+  with_lock (fun () -> Atomic.set counter_tbl (Hashtbl.create 16));
+  List.iter Hashtbl.reset (Trace.span_tables ())
 
 let to_json () =
   let merged = merged_accs () in

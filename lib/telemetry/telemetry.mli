@@ -1,12 +1,13 @@
 (** Observability for the experiment pipeline: monotonic timers, named
     counters, per-stage spans and a JSON metrics emitter.
 
-    Counters live in one global, domain-safe registry (atomic cells);
-    span accumulation is sharded per (domain, thread) — like the
-    {!Trace} rings and [Ncdrf_error.Deadline] tokens — and merged at
-    read time, so neither pool workers nor the daemon's concurrent
-    connection-handler systhreads serialize or trample each other.
-    Within a shard, samples are keyed by (ambient request id, span
+    Counters live in one global, domain-safe registry (atomic cells in
+    a copy-on-write table: increments take no lock).  Span accumulators
+    live in each thread's {!Trace} record, next to its trace ring and
+    request scope, and are merged at read time, so neither pool workers
+    nor the daemon's concurrent connection-handler systhreads serialize
+    or trample each other; a registered thread records a span without
+    taking a lock.  Samples are keyed by (ambient request id, span
     name); the classic per-name views ({!spans}, {!distributions},
     {!to_json}) collapse requests, while {!request_spans} keeps them
     apart.  Readers must run after worker domains and handler threads

@@ -32,88 +32,126 @@ type point = {
   mutable error : string option;
 }
 
-(* One shard per (domain, thread).  The ring is lazily grown up to the
-   capacity, then wraps (oldest events overwritten); [emitted] is the
-   lifetime event count, so [emitted - Array.length ring] events have
-   been dropped once the ring is saturated.  A shard is only ever
-   written by its owning thread; readers run after workers and
-   connection handlers have quiesced. *)
-type shard = {
-  mutable track : int;
+type acc = {
+  mutable total_s : float;
+  mutable count : int;
+  mutable max_s : float;
+  mutable samples : float array;
+  mutable n_samples : int;
+}
+
+type token = {
+  deadline : float option;
+  timeout_s : float option;
+  canceled : bool Atomic.t;
+  mutable cancel_reason : string;
+}
+
+(* One record per (domain, thread): the trace ring, the point context,
+   the request scope (id + deadline tokens) and the span accumulators.
+   The ring is lazily grown up to the capacity, then wraps (oldest
+   events overwritten); [emitted] is the lifetime event count, so
+   [emitted - Array.length ring] events have been dropped once the ring
+   is saturated.  A record is only ever written by its owning thread;
+   readers run after workers and connection handlers have quiesced. *)
+type record = {
+  owner : int;  (* Thread.id of the owning thread *)
+  mutable track : int;  (* -1 until the thread first touches the trace *)
   mutable ring : event array;
   mutable emitted : int;
   mutable ctx : point option;
   mutable request : string;
+  mutable tokens : token list;  (* innermost first *)
+  spans : (string * string, acc) Hashtbl.t;  (* (request id, span name) *)
 }
 
 let events_on = Atomic.make false
 let context_demanded = Atomic.make false
 let ring_capacity = Atomic.make 65536
 
-(* The registry is keyed by (domain id, thread id), the same composite
-   key Ncdrf_error.Deadline uses: connection-handler systhreads in the
-   serving daemon all run on domain 0 and would trample a Domain.DLS
-   slot, while pool workers are separate domains — the composite key
-   isolates both.  Keys are never reused (domain and thread ids are
-   monotonic), so a shard, once registered, is owned by exactly one
-   thread forever. *)
-let registry_lock = Mutex.create ()
-let table : (int * int, shard) Hashtbl.t = Hashtbl.create 16
-let shards : shard list ref = ref []
+(* The registry is keyed by (domain id, thread id): connection-handler
+   systhreads in the serving daemon all run on domain 0, while pool
+   workers are separate domains — the composite key isolates both.
+   Keys are never reused (domain and thread ids are monotonic), so a
+   record, once registered, is owned by exactly one thread forever.
 
-(* Track assignment: the first thread of a domain gets the domain id
-   (so batch runs keep their historical domain-numbered tracks, and
-   pool workers overwrite theirs with the slot id via [set_track]);
-   additional systhreads on an already-tracked domain — the daemon's
-   connection handlers — get tracks from [aux_track_base] up, in
-   registration order. *)
+   Lookups take the lock only on a miss: each domain caches the last
+   record it handed out, so a pool worker (one thread per domain) finds
+   its record lock-free after registering, and the daemon's domain 0
+   locks only when a different connection thread ran last. *)
+let registry_lock = Mutex.create ()
+let table : (int * int, record) Hashtbl.t = Hashtbl.create 16
+let records : record list ref = ref []
+
+let fresh owner =
+  { owner; track = -1; ring = [||]; emitted = 0; ctx = None; request = ""; tokens = [];
+    spans = Hashtbl.create 16 }
+
+let last_record = Domain.DLS.new_key (fun () -> fresh (-1))
+
+let record () =
+  let tid = Thread.id (Thread.self ()) in
+  let r = Domain.DLS.get last_record in
+  if r.owner = tid then r
+  else begin
+    let k = ((Domain.self () :> int), tid) in
+    Mutex.lock registry_lock;
+    let r =
+      match Hashtbl.find_opt table k with
+      | Some r -> r
+      | None ->
+        let r = fresh tid in
+        Hashtbl.add table k r;
+        records := r :: !records;
+        r
+    in
+    Mutex.unlock registry_lock;
+    Domain.DLS.set last_record r;
+    r
+  end
+
+(* Track assignment happens when a thread first touches the trace, not
+   when it registers (span and deadline bookkeeping register too): the
+   first such thread of a domain gets the domain id (so batch runs keep
+   their historical domain-numbered tracks, and pool workers overwrite
+   theirs with the slot id via [set_track]); additional systhreads on
+   an already-tracked domain — the daemon's connection handlers — get
+   tracks from [aux_track_base] up, in order of first use. *)
 let aux_track_base = 1000
 let domain_tracked : (int, unit) Hashtbl.t = Hashtbl.create 16
 let next_aux_track = ref aux_track_base
-
-let key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
 let dummy_event =
   { name = ""; phase = '?'; ts_ns = 0L; track = 0; request = ""; loop = ""; config = "";
     ii = -1 }
 
 let my () =
-  let (dom, _) as k = key () in
-  Mutex.lock registry_lock;
-  let s =
-    match Hashtbl.find_opt table k with
-    | Some s -> s
-    | None ->
-      let track =
-        if Hashtbl.mem domain_tracked dom then begin
-          let t = !next_aux_track in
-          incr next_aux_track;
-          t
-        end
-        else begin
-          Hashtbl.add domain_tracked dom ();
-          dom
-        end
-      in
-      let s = { track; ring = [||]; emitted = 0; ctx = None; request = "" } in
-      Hashtbl.add table k s;
-      shards := s :: !shards;
-      s
-  in
-  Mutex.unlock registry_lock;
-  s
+  let r = record () in
+  if r.track < 0 then begin
+    let dom = (Domain.self () :> int) in
+    Mutex.lock registry_lock;
+    (if Hashtbl.mem domain_tracked dom then begin
+       r.track <- !next_aux_track;
+       incr next_aux_track
+     end
+     else begin
+       Hashtbl.add domain_tracked dom ();
+       r.track <- dom
+     end);
+    Mutex.unlock registry_lock
+  end;
+  r
 
 let enable b = Atomic.set events_on b
 let enabled () = Atomic.get events_on
 let require_context b = Atomic.set context_demanded b
 let active () = Atomic.get events_on || Atomic.get context_demanded
 let set_track id = (my ()).track <- id
-let set_domain_id = set_track
 let set_ring_capacity n = Atomic.set ring_capacity (max 1 n)
 
-let all_shards () =
+let all_records () =
   Mutex.lock registry_lock;
-  let l = !shards in
+  let l = !records in
   Mutex.unlock registry_lock;
   l
 
@@ -121,32 +159,54 @@ let all_shards () =
 (* Request scope                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let scoped r ~request ~tokens f =
+  let saved_request = r.request and saved_tokens = r.tokens in
+  r.request <- request;
+  r.tokens <- tokens;
+  Fun.protect
+    ~finally:(fun () ->
+      r.request <- saved_request;
+      r.tokens <- saved_tokens)
+    f
+
 (* The ambient request id is installed unconditionally (not gated on
-   [active]): it costs one registry lookup at scope entry, is only
-   entered by the serving daemon, and the id must be visible to the
-   span recorder even when the event trace itself is off. *)
+   [active]): the id must be visible to the span recorder even when
+   the event trace itself is off. *)
 let with_request ~id f =
-  let s = my () in
-  let saved = s.request in
-  s.request <- id;
-  Fun.protect ~finally:(fun () -> s.request <- saved) f
+  let r = my () in
+  scoped r ~request:id ~tokens:r.tokens f
 
-(* Read-only: never registers a shard, so probes from layers that are
-   armed independently of the trace (span accumulation, the ledger)
-   do not grow the registry. *)
-let current_request () =
-  let k = key () in
-  Mutex.lock registry_lock;
-  let r =
-    match Hashtbl.find_opt table k with Some s -> s.request | None -> ""
-  in
-  Mutex.unlock registry_lock;
-  r
+let current_request () = (record ()).request
+let tokens () = (record ()).tokens
 
+let with_tokens tokens f =
+  let r = record () in
+  scoped r ~request:r.request ~tokens f
+
+(* Replaces (does not stack over) the running thread's scope: a pool
+   job runs in its submitter's scope, whichever thread executes it. *)
 let inherit_request () =
-  match current_request () with
-  | "" -> fun f -> f ()
-  | id -> fun f -> with_request ~id f
+  match record () with
+  | { request = ""; tokens = []; _ } -> fun f -> f ()
+  | { request; tokens; _ } -> fun f -> scoped (record ()) ~request ~tokens f
+
+(* ------------------------------------------------------------------ *)
+(* Span accumulators                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let span_acc name =
+  let r = record () in
+  let key = (r.request, name) in
+  match Hashtbl.find_opt r.spans key with
+  | Some a -> a
+  | None ->
+    let a =
+      { total_s = 0.0; count = 0; max_s = 0.0; samples = Array.make 16 0.0; n_samples = 0 }
+    in
+    Hashtbl.add r.spans key a;
+    a
+
+let span_tables () = List.map (fun r -> r.spans) (all_records ())
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
@@ -260,7 +320,7 @@ let note_disk ~hit =
       if hit then p.disk_hits <- p.disk_hits + 1
       else p.disk_misses <- p.disk_misses + 1)
 
-let shard_events s =
+let record_events s =
   let len = Array.length s.ring in
   if len = 0 then []
   else begin
@@ -269,13 +329,13 @@ let shard_events s =
     List.init n (fun i -> s.ring.((first + i) mod len))
   end
 
-(* Shards sort by (track id, first timestamp): track ids repeat across
+(* Records sort by (track id, first timestamp): track ids repeat across
    pool generations (every pool numbers its workers 1..n-1), and a
    stable chronological order within one track keeps per-track event
    streams monotonic for trace viewers. *)
 let events () =
-  all_shards ()
-  |> List.map (fun s -> (s, shard_events s))
+  all_records ()
+  |> List.map (fun s -> (s, record_events s))
   |> List.filter (fun (_, evs) -> evs <> [])
   |> List.sort (fun (a, ae) (b, be) ->
          match compare a.track b.track with
@@ -286,14 +346,14 @@ let events () =
 let dropped () =
   List.fold_left
     (fun acc s -> acc + max 0 (s.emitted - Array.length s.ring))
-    0 (all_shards ())
+    0 (all_records ())
 
 let reset () =
   List.iter
     (fun s ->
       s.ring <- [||];
       s.emitted <- 0)
-    (all_shards ())
+    (all_records ())
 
 let to_chrome () =
   let evs = events () in

@@ -11,29 +11,38 @@
     With both off every probe is one atomic load, and driver outputs
     are byte-identical to a build without the probes.
 
-    Each (domain, thread) pair owns one shard (ring buffer + context
-    slot + ambient request id), created on first use and registered
-    under the composite key [(Domain.self, Thread.id)] — the same key
-    [Ncdrf_error.Deadline] uses — so the serving daemon's concurrent
-    connection-handler systhreads (all on domain 0) each record into
-    their own shard instead of trampling a shared domain slot.
-    Recording needs no lock after the shard exists.  Readers
-    ({!events}, {!write_chrome}) must run after worker domains and
-    handler threads have quiesced — in the drivers, after the pool is
-    done; in the daemon, at drain.
+    Each (domain, thread) pair owns one {e record}: the event ring, the
+    point context slot, the request scope (ambient request id plus
+    deadline tokens, see {!with_tokens}) and the {!Telemetry} span
+    accumulators.  Records live in the one registry of the code base,
+    keyed by [(Domain.self, Thread.id)], so the serving daemon's
+    concurrent connection-handler systhreads (all on domain 0) each
+    record into their own record instead of trampling a shared domain
+    slot.  Each domain caches the last record it looked up, so a thread
+    finds its own record without a lock; the registry mutex is taken
+    only to register a thread, and on domain 0 when a different
+    connection thread ran last.  Readers ({!events}, {!write_chrome},
+    {!span_tables}) must run after worker domains and handler threads
+    have quiesced — in the drivers, after the pool is done; in the
+    daemon, at drain.
 
     {2 Chrome-trace track scheme}
 
-    Every shard renders as one [tid] ("track") under a single [pid]:
+    Every record with events renders as one [tid] ("track") under a
+    single [pid]:
     {ul
-    {- the {e first} thread registered on a domain takes the domain id
-       as its track — batch runs therefore keep their historical
-       [domain-0], [domain-1], … tracks, and pool workers overwrite
-       theirs with the worker slot id via {!set_track} so traces show
-       one track per pool slot across pool generations;}
+    {- the {e first} thread of a domain to touch the trace (emit an
+       event, enter a point context or {!with_request}, or call
+       {!set_track}) takes the domain id as its track — batch runs
+       therefore keep their historical [domain-0], [domain-1], …
+       tracks, and pool workers overwrite theirs with the worker slot
+       id via {!set_track} so traces show one track per pool slot
+       across pool generations;}
     {- every {e additional} systhread on an already-tracked domain —
        the daemon's connection handlers — takes the next track from
-       1000 up ([conn-0], [conn-1], …) in registration order.}}
+       1000 up ([conn-0], [conn-1], …) in that same order.}}
+    A record registered only for span or deadline bookkeeping takes no
+    track.
     Request attribution is {e not} encoded in the track: a pool worker
     serves many requests on one track, so the request id rides on each
     event as an explicit [request] arg (and the ["request"] key in the
@@ -54,28 +63,26 @@ val require_context : bool -> unit
     done only to feed the trace (e.g. computing MaxLive). *)
 val active : unit -> bool
 
-(** Cap each shard's ring buffer (default 65536 events); once full,
-    the oldest events of that shard are overwritten. *)
+(** Cap each record's ring buffer (default 65536 events); once full,
+    the oldest events of that record are overwritten. *)
 val set_ring_capacity : int -> unit
 
-(** Give the calling thread's shard a stable track id.  Pool workers
+(** Give the calling thread a stable track id.  Pool workers
     call this with their worker slot index so traces get one track per
     pool slot instead of one per spawned domain. *)
 val set_track : int -> unit
 
-(** Deprecated spelling of {!set_track}, kept for callers that predate
-    the (domain, thread) re-keying. *)
-val set_domain_id : int -> unit
-
 (** {1 Request scope}
 
-    The serving daemon runs each request under [with_request ~id], and
-    the id is stamped onto every trace event, span sample
-    ({!Telemetry.time}), and ledger record produced in that dynamic
-    extent.  Pool workers do not inherit it automatically (they are
-    different threads); [Ncdrf_parallel.Pool] captures the submitting
-    thread's id with {!inherit_request} and re-installs it around each
-    job. *)
+    A request scope is the ambient request id plus the stack of
+    deadline tokens.  The serving daemon runs each request under
+    [with_request ~id] and [Ncdrf_error.Deadline.with_token]; the id
+    is stamped onto every trace event, span sample ({!Telemetry.time})
+    and ledger record produced in that dynamic extent, and the tokens
+    bound every stage boundary's [Deadline.check].  Pool workers do not
+    inherit the scope automatically (they are different threads);
+    [Ncdrf_parallel.Pool] captures the submitting thread's scope with
+    {!inherit_request} and re-installs it around each job. *)
 
 (** [with_request ~id f] runs [f] with [id] as the calling thread's
     ambient request id (saving and restoring any outer id).  Installed
@@ -84,14 +91,52 @@ val set_domain_id : int -> unit
 val with_request : id:string -> (unit -> 'a) -> 'a
 
 (** The calling thread's ambient request id, [""] when outside any
-    {!with_request}.  Never registers a shard. *)
+    {!with_request}. *)
 val current_request : unit -> string
 
-(** [inherit_request ()] captures the calling thread's ambient request
-    id and returns a wrapper that re-installs it on whatever thread
-    runs the wrapped thunk; the identity wrapper when there is no
-    ambient request. *)
+(** [inherit_request ()] captures the calling thread's request scope —
+    the id and the token stack — and returns a wrapper that installs
+    it, in place of the running thread's own, on whatever thread runs
+    the wrapped thunk; the identity wrapper when the scope is empty. *)
 val inherit_request : unit -> (unit -> 'a) -> 'a
+
+(** A deadline token.  Its data lives here, next to the per-thread
+    record that stacks it; its operations and the mapping to error
+    categories are [Ncdrf_error.Deadline]'s. *)
+type token = {
+  deadline : float option;  (** absolute, monotonic seconds *)
+  timeout_s : float option;  (** the original relative budget, for messages *)
+  canceled : bool Atomic.t;
+  mutable cancel_reason : string;
+}
+
+(** The calling thread's installed tokens, innermost first. *)
+val tokens : unit -> token list
+
+(** [with_tokens stack f] runs [f] with [stack] as the calling thread's
+    token stack, restoring the previous stack afterwards. *)
+val with_tokens : token list -> (unit -> 'a) -> 'a
+
+(** {1 Span accumulators}
+
+    Storage for {!Telemetry}'s span statistics, kept in the same
+    per-thread record. *)
+
+(** One span's running statistics and raw samples. *)
+type acc = {
+  mutable total_s : float;
+  mutable count : int;
+  mutable max_s : float;
+  mutable samples : float array;
+  mutable n_samples : int;
+}
+
+(** The calling thread's accumulator for span [name] under its current
+    request id, created empty on first use. *)
+val span_acc : string -> acc
+
+(** Every thread's accumulators, keyed by (request id, span name). *)
+val span_tables : unit -> (string * string, acc) Hashtbl.t list
 
 (** {1 Ambient context} *)
 
@@ -177,14 +222,14 @@ val begin_span : string -> unit
 val end_span : string -> unit
 val instant : string -> unit
 
-(** All buffered events: shards ordered by (track id, first
-    timestamp), each shard's events in emission order. *)
+(** All buffered events: records ordered by (track id, first
+    timestamp), each record's events in emission order. *)
 val events : unit -> event list
 
-(** Events lost to ring-buffer wrap-around, across all shards. *)
+(** Events lost to ring-buffer wrap-around, across all records. *)
 val dropped : unit -> int
 
-(** Drop all buffered events (shards stay registered; the enabled
+(** Drop all buffered events (records stay registered; the enabled
     flags are untouched).  Not safe concurrently with recording. *)
 val reset : unit -> unit
 

@@ -187,6 +187,26 @@ dune exec bin/ncdrf.exe -- profile "$ledger" > "$profile_out"
 grep -q 'slowest points' "$profile_out" || {
   echo "check.sh: ncdrf profile printed no slowest-points section" >&2; exit 1; }
 
+# Observability off => byte-identical: the same smoke at --jobs 2 with
+# metrics, trace and ledger all armed must print exactly what the
+# unarmed run prints, once the announce block (the blank separator and
+# the [metrics|trace|ledger: <path>] lines) is dropped.  Two domains
+# plus the main thread exercise the per-thread records' lock-free path.
+obs_dir=$(mktemp -d /tmp/ncdrf-obs.XXXXXX)
+trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$obs_dir"' EXIT
+"$NCDRF" bench fig6 --quick --jobs 2 > "$obs_dir/plain.txt"
+"$NCDRF" bench fig6 --quick --jobs 2 --metrics "$obs_dir/m.json" \
+  --trace "$obs_dir/t.json" --ledger "$obs_dir/l.jsonl" > "$obs_dir/armed.txt"
+grep -v '^\[\(metrics\|trace\|ledger\): ' "$obs_dir/armed.txt" \
+  | sed -e '${/^$/d}' > "$obs_dir/armed.f"
+cmp -s "$obs_dir/plain.txt" "$obs_dir/armed.f" || {
+  echo "check.sh: armed --jobs 2 fig6 output differs from the unarmed run" >&2; exit 1; }
+armed_events=$(grep -c '"ph": *"[BE]"' "$obs_dir/t.json" || true)
+if [ "${armed_events:-0}" -eq 0 ]; then
+  echo "check.sh: armed --jobs 2 trace has no begin/end events" >&2
+  exit 1
+fi
+
 # Serving soak: a clean daemon must serve a suite byte-identical to the
 # batch CLI and drain to exit 0 on SIGTERM; a faulted, queue-bounded
 # daemon under concurrent clients must shed overload with a typed
@@ -200,7 +220,7 @@ client_suite=$(mktemp /tmp/ncdrf-client-suite.XXXXXX.txt)
 batch_suite=$(mktemp /tmp/ncdrf-batch-suite.XXXXXX.txt)
 shed_dir=$(mktemp -d /tmp/ncdrf-shed.XXXXXX)
 deadline_metrics=$(mktemp /tmp/ncdrf-deadline.XXXXXX.json)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b"' EXIT
+trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$obs_dir" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b"' EXIT
 
 "$NCDRF" serve --socket "$sock_a" --jobs 1 > /dev/null 2>&1 &
 serv_a=$!
@@ -259,7 +279,7 @@ fi
 # concurrency win is bounded by protocol/compute overlap.)
 sock_c="/tmp/ncdrf-serve-c.$$.sock"
 conc_dir=$(mktemp -d /tmp/ncdrf-conc.XXXXXX)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir"' EXIT
+trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$obs_dir" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir"' EXIT
 "$NCDRF" serve --socket "$sock_c" --jobs 1 --max-inflight 4 \
   --metrics "$conc_dir/metrics.json" --trace "$conc_dir/trace.json" \
   --ledger "$conc_dir/ledger.jsonl" > /dev/null 2>&1 &
@@ -310,7 +330,7 @@ cold_m=$(mktemp /tmp/ncdrf-cold.XXXXXX.json)
 warm_m=$(mktemp /tmp/ncdrf-warm.XXXXXX.json)
 cold_out=$(mktemp /tmp/ncdrf-cold.XXXXXX.txt)
 warm_out=$(mktemp /tmp/ncdrf-warm.XXXXXX.txt)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out"' EXIT
+trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$obs_dir" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out"' EXIT
 "$NCDRF" bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$cold_m" > "$cold_out"
 "$NCDRF" bench fig8 --quick --jobs 1 \
@@ -343,7 +363,7 @@ fi
 # files go through a single-input merge, which is the identity modulo
 # the same normalization.
 shard_dir=$(mktemp -d /tmp/ncdrf-shards.XXXXXX)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out" "$shard_dir"' EXIT
+trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$obs_dir" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out" "$shard_dir"' EXIT
 "$NCDRF" suite --size 60 --jobs 1 \
   --metrics "$shard_dir/m0.json" --ledger "$shard_dir/l0.jsonl" > /dev/null
 "$NCDRF" suite --size 60 --jobs 1 --shard 0/2 \
@@ -368,4 +388,4 @@ if [ "${shard_points:-0}" -lt 2 ]; then
   exit 1
 fi
 
-echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.incremental_reschedules=$incs, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK)"
+echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.incremental_reschedules=$incs, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, armed==unarmed at jobs 2, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK)"

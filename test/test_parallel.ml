@@ -1,7 +1,7 @@
 (* The parallel suite runner and its guard rails: pool determinism and
    fault isolation, parallel-vs-serial identity of suite statistics,
    suite generation determinism, and regression tests for the swap
-   counting, candidate bucketing, suite-cache and CSV fixes that ride
+   count, candidate bucketing, suite-cache and CSV fixes that ride
    along with the runner. *)
 
 open Ncdrf_ir
@@ -129,37 +129,34 @@ let test_suite_generation_deterministic () =
        a c)
 
 (* ------------------------------------------------------------------ *)
-(* count_swaps regression (odd migrations must not truncate).          *)
+(* Reported swaps are the swaps applied.                               *)
 (* ------------------------------------------------------------------ *)
 
-let reclustered sched changes =
-  let ddg = sched.Schedule.ddg in
-  let placements =
-    Array.init (Ddg.num_nodes ddg) (fun v ->
-        { Schedule.cycle = Schedule.cycle sched v; cluster = Schedule.cluster sched v })
-  in
+(* The pipeline reports [Swap.improve]'s own count.  Re-deriving it
+   from a placement diff undercounts chains: swapping (a, b) then
+   (b, c) leaves b where it started.  At k = 4 the fixed-seed slice
+   below holds such chains, so a diff-based count falls short of the
+   sum checked here; at k = 2 both counts agree. *)
+let test_reported_swaps_are_applied () =
+  let loops = Ncdrf_workloads.Suite.full ~size:160 () in
   List.iter
-    (fun (label, cluster) ->
-      let node = Helpers.node_by_label ddg label in
-      placements.(node.Ddg.id) <- { (placements.(node.Ddg.id)) with Schedule.cluster })
-    changes;
-  Schedule.make ~config:sched.Schedule.config ~ii:(Schedule.ii sched) ~placements ddg
-
-let test_count_swaps_pairs_only () =
-  let before = Helpers.paper_schedule () in
-  (* A true swap: A4 goes 0 -> 1 while A6 goes 1 -> 0. *)
-  let swapped = reclustered before [ ("A4", 1); ("A6", 0) ] in
-  check_int "one exchanged pair" 1 (Pipeline.count_swaps Model.Swapped before swapped);
-  (* Three one-sided migrations, no partner: not a swap.  The old
-     [changed / 2] silently truncated this to 1. *)
-  let migrated = reclustered before [ ("L1", 1); ("L2", 1); ("M3", 1) ] in
-  check_int "one-sided migrations are not swaps" 0
-    (Pipeline.count_swaps Model.Swapped before migrated);
-  (* A pair plus a lone migration counts the pair only. *)
-  let mixed = reclustered before [ ("A4", 1); ("A6", 0); ("M5", 0) ] in
-  check_int "pair + lone migration" 1 (Pipeline.count_swaps Model.Swapped before mixed);
-  (* Other models never report swaps. *)
-  check_int "unified reports 0" 0 (Pipeline.count_swaps Model.Unified before swapped)
+    (fun k ->
+      let config = Config.k_cluster ~k ~latency:3 () in
+      let reported, applied =
+        List.fold_left
+          (fun (r, a) (e : Ncdrf_workloads.Suite.entry) ->
+            let ddg = e.Ncdrf_workloads.Suite.ddg in
+            let st = Pipeline.run ~config ~model:Model.Swapped ddg in
+            let _, stats = Swap.improve (Artifact.raw_schedule ~config ddg) in
+            (r + st.Pipeline.swaps, a + stats.Swap.swaps))
+          (0, 0) loops
+      in
+      check_bool (Printf.sprintf "k=%d swaps applied" k) true (applied > 0);
+      check_int (Printf.sprintf "k=%d reported = applied" k) applied reported)
+    [ 2; 4 ];
+  (* Unified and partitioned views never swap. *)
+  let sched = Helpers.paper_schedule () in
+  check_int "unified reports 0" 0 (Artifact.apply_model Model.Unified sched).Artifact.swaps
 
 (* ------------------------------------------------------------------ *)
 (* Swap.candidates: bucketed scan == the old all-pairs scan.           *)
@@ -304,8 +301,8 @@ let suite =
       test_parallel_matches_serial;
     Alcotest.test_case "suite generation is deterministic" `Quick
       test_suite_generation_deterministic;
-    Alcotest.test_case "count_swaps counts exchanged pairs only" `Quick
-      test_count_swaps_pairs_only;
+    Alcotest.test_case "reported swaps are the swaps applied" `Quick
+      test_reported_swaps_are_applied;
     Alcotest.test_case "bucketed swap candidates == all-pairs scan" `Quick
       test_candidates_match_naive_scan;
     Alcotest.test_case "csv atomic write round-trips" `Quick test_csv_round_trip;

@@ -103,7 +103,10 @@ let test_alloc_infeasible () =
 let test_spiller_divergence_terminates () =
   let ddg = Helpers.example_ddg () in
   let config = Helpers.example_config () in
-  let requirement = Pipeline.requirement_of_model Model.Unified in
+  let requirement sched =
+    let v = Artifact.apply_model Model.Unified sched in
+    (v.Artifact.sched, v.Artifact.requirement)
+  in
   (* Capacity 1 is unreachable; with the caps pulled in the spiller must
      give up quickly and report how far it got. *)
   let outcome =

@@ -375,6 +375,44 @@ let test_suite_timeout () =
         (Error.category_name e.Error.category))
     (Failures.list failures)
 
+(* The deadline is part of the request scope the pool carries: a map
+   submitted under a canceled token must see it on the worker domain
+   too, not only on the submitting thread.  Each job sleeps briefly so
+   the worker domain takes a share of the loops. *)
+let test_ambient_deadline_reaches_pool_workers () =
+  let loops =
+    List.map
+      (fun (e : Ncdrf_workloads.Suite.entry) ->
+        { Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
+          weight = e.Ncdrf_workloads.Suite.iterations })
+      (Ncdrf_workloads.Suite.full ~size:24 ())
+  in
+  let config = Config.dual ~latency:3 in
+  let lock = Mutex.create () in
+  let domains = ref [] in
+  let f (l : Suite_stats.workload) =
+    Mutex.lock lock;
+    domains := (Domain.self () :> int) :: !domains;
+    Mutex.unlock lock;
+    Unix.sleepf 0.005;
+    Pipeline.run ~config ~model:Model.Swapped l.Suite_stats.ddg
+  in
+  let tok = Deadline.make () in
+  Deadline.cancel ~reason:"request withdrawn" tok;
+  let failures = Failures.create () in
+  let done_ =
+    Ncdrf_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Deadline.with_token tok (fun () -> Suite_stats.map ~pool ~failures ~f loops))
+  in
+  check_bool "the worker domain ran loops" true
+    (List.length (List.sort_uniq compare !domains) = 2);
+  check_int "no loop escaped the token" 0 (List.length done_);
+  check_int "every loop recorded" (List.length loops) (Failures.count failures);
+  List.iter
+    (fun (e : Error.t) ->
+      check_string "canceled everywhere" "canceled" (Error.category_name e.Error.category))
+    (Failures.list failures)
+
 (* ------------------------------------------------------------------ *)
 (* In-process daemon over a real socket.                               *)
 (* ------------------------------------------------------------------ *)
@@ -765,6 +803,8 @@ let suite =
     Alcotest.test_case "shared renderers" `Quick test_renderers;
     Alcotest.test_case "deadline clock is monotonic" `Quick test_deadline_clock_is_monotonic;
     Alcotest.test_case "deadline tokens" `Quick test_deadline_tokens;
+    Alcotest.test_case "ambient deadline reaches pool workers" `Quick
+      test_ambient_deadline_reaches_pool_workers;
     Alcotest.test_case "suite --timeout" `Quick test_suite_timeout;
     Alcotest.test_case "daemon roundtrip + containment" `Quick test_daemon_roundtrip;
     Alcotest.test_case "daemon contains injected faults" `Quick

@@ -16,6 +16,7 @@ module Ledger = Ncdrf_telemetry.Ledger
 module Stats = Ncdrf_report.Stats
 module Pool = Ncdrf_parallel.Pool
 module Generator = Ncdrf_workloads.Generator
+module Deadline = Ncdrf_error.Deadline
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -327,12 +328,14 @@ let test_concurrent_counter_registration () =
           (fun (k, _) -> String.length k > 5 && String.sub k 0 5 = "race.")
           (Telemetry.counters ())))
 
-(* Two systhreads on one domain: the (domain, thread)-keyed registries
-   keep span samples and trace events apart — under the old
-   domain-keyed scheme both threads shared one shard, so their B/E
-   events interleaved on a single track and samples trampled each
-   other.  Regression for the daemon's concurrent connection
-   handlers. *)
+(* Two systhreads on one domain: the (domain, thread)-keyed record
+   keeps span samples, trace events, request ids and deadline tokens
+   apart — under the old domain-keyed scheme both threads shared one
+   shard, so their B/E events interleaved on a single track and samples
+   trampled each other.  Thread alpha runs under a canceled token;
+   beta, alternating with it on the same domain, must never see it.
+   Regression for the daemon's concurrent connection handlers and for
+   the per-domain cache of the last record looked up. *)
 let test_two_systhreads_do_not_interleave () =
   Telemetry.enable true;
   Trace.enable true;
@@ -346,17 +349,32 @@ let test_two_systhreads_do_not_interleave () =
   Telemetry.reset ();
   Trace.reset ();
   let rounds = 25 in
-  let body id () =
+  let canceled = Deadline.make () in
+  Deadline.cancel canceled;
+  let lock = Mutex.create () in
+  let problems = ref [] in
+  let problem msg = Mutex.protect lock (fun () -> problems := msg :: !problems) in
+  let body id ~blocked () =
     Trace.with_request ~id @@ fun () ->
-    for _ = 1 to rounds do
-      (* Yield inside the span so the two threads genuinely overlap. *)
-      Telemetry.time ("work." ^ id) Thread.yield
-    done
+    let rounds () =
+      for _ = 1 to rounds do
+        (* Yield inside the span so the two threads genuinely overlap. *)
+        Telemetry.time ("work." ^ id) Thread.yield;
+        if Trace.current_request () <> id then problem (id ^ " lost its request id");
+        match Deadline.check ~stage:"t" with
+        | () -> if blocked then problem (id ^ " lost its canceled token")
+        | exception Ncdrf_error.Error.Error _ ->
+          if not blocked then problem (id ^ " saw the other thread's token")
+      done
+    in
+    if blocked then Deadline.with_token canceled rounds else rounds ()
   in
-  let t1 = Thread.create (body "alpha") () in
-  let t2 = Thread.create (body "beta") () in
+  let t1 = Thread.create (body "alpha" ~blocked:true) () in
+  let t2 = Thread.create (body "beta" ~blocked:false) () in
   Thread.join t1;
   Thread.join t2;
+  Alcotest.(check (list string))
+    "request scopes stayed apart" [] (List.sort_uniq compare !problems);
   (* Exact per-request sample counts: nothing lost, nothing leaked. *)
   let count req name =
     match List.assoc_opt (req, name) (Telemetry.request_spans ()) with
